@@ -13,7 +13,7 @@ switch only when deflected contribute just their header per loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping
 
@@ -284,19 +284,21 @@ def analyze(
     is unchanged.  Diverged flows keep a None bound, which forces every flow
     depending on them to None as well, and never recover (passes are
     monotone), so the loop terminates.
+
+    Bounds only rise from pass to pass, so if ``MAX_PASSES`` runs out before
+    the fixed point, the last pass's bounds may be too low: every flow is
+    then reported with ``converged=False`` and ``schedulable=False``.
     """
     start = time.perf_counter()
     jmap: dict[int, int | None] = {f.flow_id: 0 for f in flowset}
     prev_bounds: dict[int, int | None] | None = None
     passes = 0
-    idle_map: dict[int, int | None] = {}
-    iteration_map: dict[int, int] = {}
-    bounds: dict[int, int | None] = {}
-    while passes < MAX_PASSES:
+    while True:
         passes += 1
         idle_map, iteration_map = _pass(flowset, mode, jmap, hard_cap)
         bounds = _bounds_from(flowset, idle_map)
-        if bounds == prev_bounds:
+        converged = bounds == prev_bounds
+        if converged or passes >= MAX_PASSES:
             break
         prev_bounds = bounds
         jmap = _next_jitter(flowset, bounds)
@@ -304,6 +306,10 @@ def analyze(
         _assemble(flowset, f.flow_id, jmap, idle_map, iteration_map[f.flow_id])
         for f in flowset
     )
+    if not converged:
+        flows = tuple(
+            replace(fa, schedulable=False, converged=False) for fa in flows
+        )
     return AnalysisReport(
         mode=mode,
         flows=flows,

@@ -150,18 +150,20 @@ def load_flowset(path: str, header_len: int = 1) -> Flowset:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_flowset(path: str, flowset: Flowset, include_rings: bool = True) -> None:
+def save_flowset(path: str, flowset: Flowset) -> None:
     top = flowset.topology
-    doc: dict[str, Any] = {"rows": top.rows, "cols": top.cols}
-    if include_rings:
-        doc["rings"] = [list(r.switches) for r in top.rings]
-    doc["flows"] = [
-        {
-            "id": f.flow_id, "T": f.period, "D": f.deadline, "L": f.length,
-            "J": f.jitter, "src": f.src, "dst": f.dst, "maxloop": f.maxloop,
-        }
-        for f in flowset
-    ]
+    doc: dict[str, Any] = {
+        "rows": top.rows,
+        "cols": top.cols,
+        "rings": [list(r.switches) for r in top.rings],
+        "flows": [
+            {
+                "id": f.flow_id, "T": f.period, "D": f.deadline, "L": f.length,
+                "J": f.jitter, "src": f.src, "dst": f.dst, "maxloop": f.maxloop,
+            }
+            for f in flowset
+        ],
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

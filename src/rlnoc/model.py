@@ -8,8 +8,9 @@ through that switch.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 CoreId = int
 SwitchId = int
@@ -67,19 +68,13 @@ class Ring:
         hops = (j - i) % n
         return tuple(self.switches[(i + k) % n] for k in range(hops + 1))
 
-    def dpath(self, src: SwitchId, dst: SwitchId) -> tuple[SwitchId, ...]:
-        """Downstream part of ``path``: everything after the source switch."""
-        return self.path(src, dst)[1:]
-
 
 @dataclass(frozen=True)
 class NetworkTopology:
     """A switch grid plus its ring placement.
 
-    ``ejection_sharing`` and ``injection_sharing`` map every switch to the
-    set of rings sharing that switch's single ejection (resp. injection)
-    link.  In this shared-link configuration both maps simply contain the
-    rings passing through the switch.
+    ``rings_through(s)`` is the set of rings sharing switch s's single
+    ejection link and its single injection link: every ring passing s.
     """
 
     rows: int
@@ -107,14 +102,6 @@ class NetworkTopology:
     def n_switches(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def ejection_sharing(self) -> Mapping[SwitchId, frozenset[RingId]]:
-        return self._sharing  # type: ignore[attr-defined]
-
-    @property
-    def injection_sharing(self) -> Mapping[SwitchId, frozenset[RingId]]:
-        return self._sharing  # type: ignore[attr-defined]
-
     def switch_of_core(self, core: CoreId) -> SwitchId:
         if not 0 <= core < self.n_switches:
             raise ModelError(f"core {core} outside grid")
@@ -122,9 +109,6 @@ class NetworkTopology:
 
     def rings_through(self, switch: SwitchId) -> frozenset[RingId]:
         return self._sharing[switch]  # type: ignore[attr-defined]
-
-    def connecting_rings(self, a: SwitchId, b: SwitchId) -> list[Ring]:
-        return [r for r in self.rings if a in r and b in r]
 
     def is_fully_connected(self) -> bool:
         """True when every ordered pair of distinct switches shares a ring."""
@@ -260,8 +244,12 @@ class Flowset:
     """An immutable set of flows finalized against a topology.
 
     Construction assigns rings, recomputes per-ring buffer sizes as the
-    largest packet on each ring, derives missing maxloop values, and caches
-    flow paths and interference sets.
+    largest packet on each ring, derives missing maxloop values, and builds
+    an index of the flows in one pass: each flow's switches and their
+    positions on its ring, flows bucketed by source switch and by ring, and
+    the Oldest-First competitor count of each flow.  Interference sets are
+    read from the buckets on first use and cached.  None of this depends on
+    maxloop, so the copies made by ``with_maxloop`` share all of it.
     """
 
     def __init__(
@@ -284,64 +272,71 @@ class Flowset:
                     f"flow {f.flow_id}: length {f.length} below header_len {header_len}"
                 )
 
-        assigned = [self._assign_ring(f) for f in flows]
-        assigned = [
-            replace(f, maxloop=self._oldest_first(f, assigned))
-            if f.maxloop is None
-            else f
-            for f in assigned
-        ]
-        self.flows: tuple[Flow, ...] = tuple(assigned)
-        self._by_id = {f.flow_id: f for f in self.flows}
-
         buffers = {r.ring_id: r.buffer_size for r in topology.rings}
-        for f in self.flows:
-            buffers[f.ring] = max(buffers[f.ring], f.length)
-        self.ring_buffers: dict[RingId, int] = buffers
-
-        self._paths = {
-            f.flow_id: self.ring_of(f).path(
-                topology.switch_of_core(f.src), topology.switch_of_core(f.dst)
-            )
-            for f in self.flows
-        }
-        self._interference: dict[int, InterferenceSets] = {}
-
-    def _assign_ring(self, flow: Flow) -> Flow:
-        top = self.topology
-        src = top.switch_of_core(flow.src)
-        dst = top.switch_of_core(flow.dst)
-        if flow.ring is not None:
-            ring = top.rings[flow.ring]
+        # flow id -> (source switch, destination switch, their ring positions)
+        self._place: dict[int, tuple[SwitchId, SwitchId, int, int]] = {}
+        self._paths: dict[int, tuple[SwitchId, ...]] = {}
+        self._by_src: dict[SwitchId, list[int]] = {}
+        self._by_ring: dict[RingId, list[int]] = {}
+        at_dst: dict[SwitchId, int] = {}
+        at_ring_dst: dict[tuple[RingId, SwitchId], int] = {}
+        rings: list[RingId] = []
+        for f in flows:
+            src = topology.switch_of_core(f.src)
+            dst = topology.switch_of_core(f.dst)
+            ring_id = f.ring
+            if ring_id is None:
+                ring_id = self._shortest_ring(f, src, dst)
+            ring = topology.rings[ring_id]
             if src not in ring or dst not in ring:
                 raise ModelError(
-                    f"flow {flow.flow_id}: ring {flow.ring} does not contain "
+                    f"flow {f.flow_id}: ring {ring_id} does not contain "
                     f"switches {src} and {dst}"
                 )
-            return flow
-        best: RingId | None = None
-        best_len = 0
-        for ring in top.rings:
-            if src in ring and dst in ring:
-                plen = len(ring.path(src, dst))
-                if best is None or plen < best_len:
-                    best, best_len = ring.ring_id, plen
-        if best is None:
+            self._place[f.flow_id] = (src, dst, ring.position(src), ring.position(dst))
+            self._paths[f.flow_id] = ring.path(src, dst)
+            self._by_src.setdefault(src, []).append(f.flow_id)
+            self._by_ring.setdefault(ring_id, []).append(f.flow_id)
+            at_dst[dst] = at_dst.get(dst, 0) + 1
+            at_ring_dst[ring_id, dst] = at_ring_dst.get((ring_id, dst), 0) + 1
+            buffers[ring_id] = max(buffers[ring_id], f.length)
+            rings.append(ring_id)
+        self.ring_buffers: dict[RingId, int] = buffers
+
+        # Ejection-link competitors: flows at the same destination switch
+        # that arrive on another ring.
+        self._competitors: dict[int, int] = {}
+        assigned = []
+        for f, ring_id in zip(flows, rings):
+            dst = self._place[f.flow_id][1]
+            count = at_dst[dst] - at_ring_dst[ring_id, dst]
+            self._competitors[f.flow_id] = count
+            if f.ring is None or f.maxloop is None:
+                f = replace(
+                    f, ring=ring_id, maxloop=count if f.maxloop is None else f.maxloop
+                )
+            assigned.append(f)
+        self._set_flows(assigned)
+        self._interference: dict[int, InterferenceSets] = {}
+
+    def _shortest_ring(self, flow: Flow, src: SwitchId, dst: SwitchId) -> RingId:
+        # Fewest hops from src to dst; the lower ring id wins a tie.
+        top = self.topology
+        shared = (top.rings[r] for r in top.rings_through(src) & top.rings_through(dst))
+        candidates = [
+            ((ring.position(dst) - ring.position(src)) % len(ring), ring.ring_id)
+            for ring in shared
+        ]
+        if not candidates:
             raise ModelError(
                 f"flow {flow.flow_id}: no ring connects cores {flow.src} "
                 f"and {flow.dst}"
             )
-        return replace(flow, ring=best)
+        return min(candidates)[1]
 
-    def _oldest_first(self, flow: Flow, flows: Sequence[Flow]) -> int:
-        dst = self.topology.switch_of_core(flow.dst)
-        return sum(
-            1
-            for g in flows
-            if g.flow_id != flow.flow_id
-            and self.topology.switch_of_core(g.dst) == dst
-            and g.ring != flow.ring
-        )
+    def _set_flows(self, flows: Iterable[Flow]) -> None:
+        self.flows: tuple[Flow, ...] = tuple(flows)
+        self._by_id = {f.flow_id: f for f in self.flows}
 
     def __iter__(self):
         return iter(self.flows)
@@ -366,47 +361,47 @@ class Flowset:
         return self.ring_buffers[flow.ring]
 
     def src_switch(self, flow_id: int) -> SwitchId:
-        return self.topology.switch_of_core(self._by_id[flow_id].src)
+        return self._place[flow_id][0]
 
     def dst_switch(self, flow_id: int) -> SwitchId:
-        return self.topology.switch_of_core(self._by_id[flow_id].dst)
+        return self._place[flow_id][1]
 
     def with_maxloop(self, maxloop: int) -> "Flowset":
-        """Copy of this flowset with one maxloop value for every flow."""
-        flows = [replace(f, maxloop=maxloop) for f in self.flows]
-        return Flowset(self.topology, flows, header_len=self.header_len)
+        """Copy of this flowset with one maxloop value for every flow.
+
+        The copy shares this flowset's index, buffers, paths and
+        interference sets; only its flows differ.
+        """
+        budgeted = copy.copy(self)
+        budgeted._set_flows(replace(f, maxloop=maxloop) for f in self.flows)
+        return budgeted
 
     def interference_sets(self, flow_id: int) -> InterferenceSets:
         cached = self._interference.get(flow_id)
         if cached is not None:
             return cached
-        flow = self._by_id[flow_id]
-        src = self.topology.switch_of_core(flow.src)
-        peers, sharers, upstream, deflected = [], [], [], []
-        for g in self.flows:
-            if g.flow_id == flow_id:
+        src, _, p, _ = self._place[flow_id]
+        ring = self._by_id[flow_id].ring
+        n = len(self.topology.rings[ring])
+        peers, upstream, deflected = [], [], []
+        for g in self._by_ring[ring]:
+            if g == flow_id:
                 continue
-            if self.topology.switch_of_core(g.src) == src:
-                sharers.append(g.flow_id)
-            if g.ring == flow.ring:
-                peers.append(g.flow_id)
-                if src in self._paths[g.flow_id]:
-                    upstream.append(g.flow_id)
-                else:
-                    deflected.append(g.flow_id)
+            peers.append(g)
+            # g's path covers ring positions i, i + 1, ..., j (mod n).
+            _, _, i, j = self._place[g]
+            if (p - i) % n <= (j - i) % n:
+                upstream.append(g)
+            else:
+                deflected.append(g)
         sets = InterferenceSets(
             ring_peers=tuple(peers),
-            injection_sharers=tuple(sharers),
+            injection_sharers=tuple(g for g in self._by_src[src] if g != flow_id),
             upstream=tuple(upstream),
             deflected_only=tuple(deflected),
         )
         self._interference[flow_id] = sets
         return sets
-
-
-def path(flowset: Flowset, flow_id: int) -> tuple[SwitchId, ...]:
-    """Switches a flow's packets traverse, source and destination inclusive."""
-    return flowset.path_of(flow_id)
 
 
 def no_load_latency(flowset: Flowset, flow_id: int) -> int:
@@ -420,10 +415,6 @@ def no_load_latency(flowset: Flowset, flow_id: int) -> int:
     return len(flowset.path_of(flow_id)) + 1 + flow.length - 1
 
 
-def interference_sets(flowset: Flowset, flow_id: int) -> InterferenceSets:
-    return flowset.interference_sets(flow_id)
-
-
 def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:
     """Worst-case deflections under Oldest-First ejection arbitration.
 
@@ -431,14 +422,7 @@ def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:
     ejection link from a different ring.  Each competitor can hold at most
     one in-flight packet older than the packet under analysis, and only
     older packets are granted the link ahead of it, so its packets loop at
-    most once per competitor.
+    most once per competitor.  The count is taken from the flowset's index
+    and holds even where the flow's maxloop was set explicitly.
     """
-    flow = flowset.flow(flow_id)
-    dst = flowset.topology.switch_of_core(flow.dst)
-    return sum(
-        1
-        for g in flowset.flows
-        if g.flow_id != flow_id
-        and flowset.topology.switch_of_core(g.dst) == dst
-        and g.ring != flow.ring
-    )
+    return flowset._competitors[flow_id]

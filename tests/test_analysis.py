@@ -13,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rlnoc.analysis
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 from rlnoc.analysis import (
     HARD_CAP,
@@ -26,6 +27,7 @@ from rlnoc.analysis import (
     quick_verdict,
     response_time,
 )
+from rlnoc.bench import SweepConfig, generate_flowset
 from rlnoc.model import Flowset, NetworkTopology, Ring, generate_rlrec
 
 BASE = ProtocolMode.BASELINE
@@ -359,6 +361,22 @@ class TestAnalyze:
         # Flow 2 queues behind flow 0 at switch 1, so its bound is unknown too.
         assert by_id[2].bound is None and not by_id[2].converged
         assert not report.schedulable
+
+    def test_pass_cap_reports_no_bound_as_converged(self, monkeypatch):
+        # Four passes reach the fixed point; one pass leaves bounds below it.
+        fs = generate_flowset(
+            SweepConfig(), generate_rlrec(4, 4), 20, (16, 48), random.Random(5)
+        ).with_maxloop(1)
+        full = analyze(fs, BASE)
+        assert full.passes == 4
+        assert all(fa.converged for fa in full.flows)
+        monkeypatch.setattr(rlnoc.analysis, "MAX_PASSES", 1)
+        capped = analyze(fs, BASE)
+        assert capped.passes == 1
+        assert any(c.bound < f.bound for c, f in zip(capped.flows, full.flows))
+        assert not capped.schedulable
+        for fa in capped.flows:
+            assert not fa.converged and not fa.schedulable
 
     def test_quick_verdict_agrees_with_full_analysis(self):
         rng = random.Random("quick")

@@ -5,6 +5,8 @@ brute-force helpers defined alongside the tests, then frozen here.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +15,13 @@ from conftest import make_flow, perimeter_ring8, single_flow_ring8
 from rlnoc.model import (
     Flow,
     Flowset,
+    InterferenceSets,
     ModelError,
     NetworkTopology,
     Ring,
     generate_rlrec,
-    interference_sets,
     maxloop_oldest_first,
     no_load_latency,
-    path,
 )
 
 
@@ -91,27 +92,26 @@ class TestRingGeneration:
         top = generate_rlrec(4, 4)
         for s in range(16):
             expected = frozenset(r.ring_id for r in top.rings if s in r)
-            assert top.ejection_sharing[s] == expected
-            assert top.injection_sharing[s] == expected
+            assert top.rings_through(s) == expected
 
 
 class TestPath:
     def test_four_switch_arc_on_perimeter_ring(self):
         fs = single_flow_ring8()
         # src core 1 sits second on the ring, dst core 7 sits fourth.
-        assert path(fs, 0) == (1, 2, 3, 7)
-        assert len(path(fs, 0)) == 4
+        assert fs.path_of(0) == (1, 2, 3, 7)
+        assert len(fs.path_of(0)) == 4
 
     def test_adjacent_switches(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 2)])
-        assert path(fs, 0) == (1, 2)
+        assert fs.path_of(0) == (1, 2)
 
     def test_wraparound_matches_step_oracle(self):
         top = perimeter_ring8()
         ring = top.rings[0]
         fs = Flowset(top, [make_flow(0, 6, 0)])  # crosses the cyclic seam
-        assert path(fs, 0) == _walk(ring, 6, 0)
+        assert fs.path_of(0) == _walk(ring, 6, 0)
 
     @given(
         src=st.integers(0, 7),
@@ -123,8 +123,6 @@ class TestPath:
             assert ring.path(src, dst) == (src,)
         else:
             assert ring.path(src, dst) == _walk(ring, src, dst)
-            assert ring.dpath(src, dst) == _walk(ring, src, dst)[1:]
-            assert len(ring.path(src, dst)) == len(ring.dpath(src, dst)) + 1
 
 
 class TestNoLoadLatency:
@@ -151,13 +149,13 @@ class TestNoLoadLatency:
         fs = Flowset(perimeter_ring8(), [make_flow(0, src, dst, length=length)])
         c = no_load_latency(fs, 0)
         assert c >= length + 2
-        assert c == len(path(fs, 0)) + 1 + length - 1
+        assert c == len(fs.path_of(0)) + 1 + length - 1
 
 
 class TestInterferenceSets:
     def test_single_flow_has_empty_sets(self):
         fs = single_flow_ring8()
-        sets = interference_sets(fs, 0)
+        sets = fs.interference_sets(0)
         assert sets.ring_peers == ()
         assert sets.injection_sharers == ()
         assert sets.upstream == ()
@@ -167,7 +165,7 @@ class TestInterferenceSets:
         top = perimeter_ring8()
         # flow 0: 1 -> 7 (path 1,2,3,7); flow 1: 0 -> 3 passes switch 1.
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 0, 3)])
-        sets = interference_sets(fs, 0)
+        sets = fs.interference_sets(0)
         assert sets.ring_peers == (1,)
         assert sets.upstream == (1,)
         assert sets.deflected_only == ()
@@ -176,7 +174,7 @@ class TestInterferenceSets:
         top = perimeter_ring8()
         # flow 1: 2 -> 3 never crosses switch 1 on its direct path.
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 2, 3)])
-        sets = interference_sets(fs, 0)
+        sets = fs.interference_sets(0)
         assert sets.ring_peers == (1,)
         assert sets.upstream == ()
         assert sets.deflected_only == (1,)
@@ -184,8 +182,8 @@ class TestInterferenceSets:
     def test_same_source_switch_shares_injection_link(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 1, 3)])
-        assert interference_sets(fs, 0).injection_sharers == (1,)
-        assert interference_sets(fs, 1).injection_sharers == (0,)
+        assert fs.interference_sets(0).injection_sharers == (1,)
+        assert fs.interference_sets(1).injection_sharers == (0,)
 
     def test_upstream_and_deflected_partition_ring_peers(self):
         top = generate_rlrec(4, 4)
@@ -199,7 +197,7 @@ class TestInterferenceSets:
         ]
         fs = Flowset(top, flows)
         for f in fs:
-            sets = interference_sets(fs, f.flow_id)
+            sets = fs.interference_sets(f.flow_id)
             up, de = set(sets.upstream), set(sets.deflected_only)
             assert up | de == set(sets.ring_peers)
             assert up & de == set()
@@ -329,3 +327,131 @@ def test_path_endpoints_and_length_on_generated_grids(data):
     assert p[0] == src and p[-1] == dst
     assert 2 <= len(p) <= len(ring)
     assert p == _walk(ring, src, dst)
+
+
+def _reference_index(top: NetworkTopology, flows: list[Flow]):
+    """Ring choice, Oldest-First counts, paths and interference sets, each
+    by a direct scan over every ring or every pair of flows."""
+    assigned = []
+    for f in flows:
+        ring = f.ring
+        if ring is None:
+            best_len = 0
+            for r in top.rings:
+                if f.src in r and f.dst in r:
+                    plen = len(r.path(f.src, f.dst))
+                    if ring is None or plen < best_len:
+                        ring, best_len = r.ring_id, plen
+        assigned.append(replace(f, ring=ring))
+    competitors = {
+        f.flow_id: sum(
+            1
+            for g in assigned
+            if g.flow_id != f.flow_id and g.dst == f.dst and g.ring != f.ring
+        )
+        for f in assigned
+    }
+    paths = {f.flow_id: top.rings[f.ring].path(f.src, f.dst) for f in assigned}
+    sets = {}
+    for f in assigned:
+        peers, sharers, upstream, deflected = [], [], [], []
+        for g in assigned:
+            if g.flow_id == f.flow_id:
+                continue
+            if g.src == f.src:
+                sharers.append(g.flow_id)
+            if g.ring == f.ring:
+                peers.append(g.flow_id)
+                if f.src in paths[g.flow_id]:
+                    upstream.append(g.flow_id)
+                else:
+                    deflected.append(g.flow_id)
+        sets[f.flow_id] = InterferenceSets(
+            tuple(peers), tuple(sharers), tuple(upstream), tuple(deflected)
+        )
+    return assigned, competitors, paths, sets
+
+
+@st.composite
+def indexed_flowsets(draw):
+    """Flows on a generated grid, with repeated (src, dst) pairs, some
+    explicit rings and some explicit maxloops, ids in shuffled order."""
+    n = draw(st.integers(2, 7))
+    top = generate_rlrec(n, n)
+    cores = st.integers(0, n * n - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(cores, cores).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    count = draw(st.integers(0, 30))
+    ids = draw(st.permutations(range(count)))
+    flows = []
+    for fid in ids:
+        src, dst = draw(st.sampled_from(pairs))
+        ring = None
+        if draw(st.booleans()):
+            shared = top.rings_through(src) & top.rings_through(dst)
+            ring = draw(st.sampled_from(sorted(shared)))
+        maxloop = draw(st.one_of(st.none(), st.integers(0, 3)))
+        flows.append(
+            make_flow(fid, src, dst, length=draw(st.integers(1, 96)),
+                      ring=ring, maxloop=maxloop)
+        )
+    return top, flows
+
+
+class TestFlowsetIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(indexed_flowsets())
+    def test_index_matches_pairwise_scans(self, case):
+        top, flows = case
+        fs = Flowset(top, flows)
+        assigned, competitors, paths, sets = _reference_index(top, flows)
+        assert [f.ring for f in fs] == [f.ring for f in assigned]
+        for given_flow, f in zip(flows, fs):
+            expected = given_flow.maxloop
+            if expected is None:
+                expected = competitors[f.flow_id]
+            assert f.maxloop == expected
+            assert maxloop_oldest_first(fs, f.flow_id) == competitors[f.flow_id]
+            assert fs.src_switch(f.flow_id) == f.src
+            assert fs.dst_switch(f.flow_id) == f.dst
+            assert fs.path_of(f.flow_id) == paths[f.flow_id]
+            assert fs.interference_sets(f.flow_id) == sets[f.flow_id]
+
+    @settings(max_examples=60, deadline=None)
+    @given(indexed_flowsets(), st.integers(0, 3))
+    def test_budget_copy_equals_fresh_build(self, case, k):
+        top, flows = case
+        fs = Flowset(top, flows)
+        copy = fs.with_maxloop(k)
+        fresh = Flowset(top, [replace(f, maxloop=k) for f in fs.flows])
+        assert copy.flows == fresh.flows
+        assert copy.ring_buffers == fresh.ring_buffers
+        for f in fresh:
+            fid = f.flow_id
+            assert copy.flow(fid) == f
+            assert copy.path_of(fid) == fresh.path_of(fid)
+            assert copy.interference_sets(fid) == fresh.interference_sets(fid)
+            assert maxloop_oldest_first(copy, fid) == maxloop_oldest_first(fresh, fid)
+        # The source flowset keeps its own maxloops.
+        assert [f.maxloop for f in fs] == [
+            f.maxloop for f in Flowset(top, flows)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(indexed_flowsets(), st.data())
+    def test_out_of_grid_core_rejected(self, case, data):
+        top, flows = case
+        outside = top.n_switches + data.draw(st.integers(0, 5))
+        inside = data.draw(st.integers(0, top.n_switches - 1))
+        bad = data.draw(
+            st.sampled_from([(outside, inside), (inside, outside)])
+        )
+        at = data.draw(st.integers(0, len(flows)))
+        flows = flows[:at] + [make_flow(len(flows), *bad)] + flows[at:]
+        with pytest.raises(ModelError, match="outside grid"):
+            Flowset(top, flows)

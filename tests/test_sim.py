@@ -125,7 +125,7 @@ class TestOldestFirst:
         fs = self._pair()
         base, prop = _both(fs, _Explicit({0: [0], 1: [1]}), 64)
         assert base.flit_hops == 22
-        # payload flit skips the loop: saves (L-H)*(r-|dpath|) = 1*3 hops
+        # payload flit skips the loop: saves (L-H)*(r-(|path|-1)) = 1*3 hops
         assert prop.flit_hops == 19
 
     def test_tie_on_timestamp_breaks_by_lower_ring_id(self):
