@@ -15,9 +15,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .model import Flowset
+from .model import Flowset, no_load_latency
 
 HARD_CAP = 1 << 20
 
@@ -26,6 +26,10 @@ HARD_CAP = 1 << 20
 MAX_PASSES = 4096
 
 JitterMap = Mapping[int, "int | None"]
+
+# (interferer, weight, period, release jitter): the interferer holds the
+# flow's injection switch for ``weight`` cycles per release in the window.
+Term = tuple[int, int, int, int]
 
 
 class ProtocolMode(Enum):
@@ -72,46 +76,46 @@ def divergence_cap(flowset: Flowset, flow_id: int, hard_cap: int = HARD_CAP) -> 
     return min(hard_cap, max(flow.deadline, flow.period) * (1 + loops))
 
 
-def _interference_terms(
-    flowset: Flowset, flow_id: int, mode: ProtocolMode, jmap: JitterMap
-) -> list[tuple[int, int, int]] | None:
-    """(weight, period, window offset) per interferer, or None on unknown jitter.
+def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
+    """Interference terms of the flow's head-of-queue idle bound.
 
-    The idle bound is 1 + sum over terms of weight * ceil((I + offset) / period).
+    The idle bound is 1 + sum over terms of
+    weight * ceil((I + release jitter + interference jitter) / period).
     Upstream peers cross the injection switch once per packet plus once per
     loop; the rest cross it only while looping, paying full length under
     full-packet deflection but only the header under header-only deflection.
     """
     sets = flowset.interference_sets(flow_id)
-    header = flowset.header_len
-    terms: list[tuple[int, int, int]] = []
+    terms: list[Term] = []
     for fid in sets.upstream:
         g = flowset.flow(fid)
-        jk = jmap.get(fid, 0)
-        if jk is None:
-            return None
-        terms.append(((1 + g.maxloop) * g.length, g.period, g.jitter + jk))
+        terms.append((fid, (1 + g.maxloop) * g.length, g.period, g.jitter))
     for fid in sets.deflected_only:
         g = flowset.flow(fid)
         if g.maxloop == 0:
             continue
-        jk = jmap.get(fid, 0)
-        if jk is None:
-            return None
-        charge = g.length if mode is ProtocolMode.BASELINE else header
-        terms.append((g.maxloop * charge, g.period, g.jitter + jk))
+        charge = g.length if mode is ProtocolMode.BASELINE else flowset.header_len
+        terms.append((fid, g.maxloop * charge, g.period, g.jitter))
     return terms
 
 
-def _idle_fixpoint(
-    terms: list[tuple[int, int, int]], cap: int
-) -> tuple[int | None, int]:
-    """Ascending iteration from 1; returns (least fixed point or None, steps)."""
+def _idle(terms: list[Term], jmap: JitterMap, cap: int) -> tuple[int | None, int]:
+    """Least fixed point of the idle bound by ascending iteration from 1.
+
+    Returns (fixed point, steps taken), with None for the fixed point when
+    it passes ``cap`` or an interferer's jitter is unknown (then 0 steps).
+    """
+    window: list[tuple[int, int, int]] = []
+    for fid, weight, period, jitter in terms:
+        jk = jmap.get(fid, 0)
+        if jk is None:
+            return None, 0
+        window.append((weight, period, jitter + jk + period - 1))
     value = 1
     steps = 0
     while True:
         steps += 1
-        nxt = 1 + sum(w * ((value + off + t - 1) // t) for w, t, off in terms)
+        nxt = 1 + sum(w * ((value + off) // t) for w, t, off in window)
         if nxt == value:
             return value, steps
         if nxt > cap:
@@ -124,14 +128,11 @@ def pre_injection_idle(
     flow_id: int,
     mode: ProtocolMode,
     interference_jitter: JitterMap | None = None,
-    hard_cap: int = HARD_CAP,
 ) -> int | None:
     """Worst-case wait at the head of the injection queue, or None if diverged."""
-    terms = _interference_terms(flowset, flow_id, mode, interference_jitter or {})
-    if terms is None:
-        return None
-    value, _ = _idle_fixpoint(terms, divergence_cap(flowset, flow_id, hard_cap))
-    return value
+    terms = _terms(flowset, flow_id, mode)
+    cap = divergence_cap(flowset, flow_id)
+    return _idle(terms, interference_jitter or {}, cap)[0]
 
 
 def pre_injection_queue(
@@ -160,6 +161,16 @@ def post_injection(flowset: Flowset, flow_id: int) -> int:
     return downstream * buf + flow.maxloop * ring_len * buf
 
 
+def _fixed(flowset: Flowset, flow_id: int) -> int:
+    """The part of the bound no interferer affects.
+
+    No-load latency, one ring crossing per own deflection, and
+    post-injection buffering; the bound adds the idle and queue waits.
+    """
+    loops = len(flowset.ring_of(flow_id)) * flowset.flow(flow_id).maxloop
+    return no_load_latency(flowset, flow_id) + loops + post_injection(flowset, flow_id)
+
+
 def _assemble(
     flowset: Flowset,
     flow_id: int,
@@ -168,23 +179,19 @@ def _assemble(
     iterations: int,
 ) -> FlowAnalysis:
     flow = flowset.flow(flow_id)
-    no_load = len(flowset.path_of(flow_id)) + flow.length
     idle = idle_map[flow_id]
     queue = pre_injection_queue(flowset, flow_id, idle_map)
-    post = post_injection(flowset, flow_id)
     if idle is None or queue is None:
         bound = None
     else:
-        bound = (
-            no_load + len(flowset.ring_of(flow_id)) * flow.maxloop + idle + queue + post
-        )
+        bound = _fixed(flowset, flow_id) + idle + queue
     peers = flowset.interference_sets(flow_id).ring_peers
     return FlowAnalysis(
         flow_id=flow_id,
-        no_load=no_load,
+        no_load=no_load_latency(flowset, flow_id),
         pre_idle=idle,
         pre_queue=queue,
-        post_injection=post,
+        post_injection=post_injection(flowset, flow_id),
         bound=bound,
         deadline=flow.deadline,
         jitter_used=tuple((fid, jmap.get(fid, 0)) for fid in peers),
@@ -199,7 +206,6 @@ def response_time(
     flow_id: int,
     mode: ProtocolMode,
     interference_jitter: JitterMap | None = None,
-    hard_cap: int = HARD_CAP,
 ) -> FlowAnalysis:
     """Single-pass bound for one flow under a fixed interference-jitter map.
 
@@ -207,106 +213,80 @@ def response_time(
     result is independent of evaluation order.
     """
     jmap = dict(interference_jitter or {})
-    own_sets = flowset.interference_sets(flow_id)
-    idle_map: dict[int, int | None] = {}
-    iterations = 0
-    for fid in (flow_id, *own_sets.injection_sharers):
-        terms = _interference_terms(flowset, fid, mode, jmap)
-        if terms is None:
-            idle_map[fid] = None
-            continue
-        value, steps = _idle_fixpoint(terms, divergence_cap(flowset, fid, hard_cap))
-        idle_map[fid] = value
-        if fid == flow_id:
-            iterations = steps
-    return _assemble(flowset, flow_id, jmap, idle_map, iterations)
+    sharers = flowset.interference_sets(flow_id).injection_sharers
+    idle = {
+        fid: _idle(_terms(flowset, fid, mode), jmap, divergence_cap(flowset, fid))
+        for fid in (flow_id, *sharers)
+    }
+    idle_map = {fid: value for fid, (value, _) in idle.items()}
+    return _assemble(flowset, flow_id, jmap, idle_map, idle[flow_id][1])
 
 
-def _pass(
-    flowset: Flowset, mode: ProtocolMode, jmap: JitterMap, hard_cap: int
-) -> tuple[dict[int, int | None], dict[int, int]]:
-    """One whole-set evaluation: idle fixpoints for every flow, then bounds."""
-    idle_map: dict[int, int | None] = {}
-    iteration_map: dict[int, int] = {}
-    for f in flowset:
-        terms = _interference_terms(flowset, f.flow_id, mode, jmap)
-        if terms is None:
-            idle_map[f.flow_id] = None
-            iteration_map[f.flow_id] = 0
-            continue
-        cap = divergence_cap(flowset, f.flow_id, hard_cap)
-        idle_map[f.flow_id], iteration_map[f.flow_id] = _idle_fixpoint(terms, cap)
-    return idle_map, iteration_map
+@dataclass(frozen=True)
+class _Pass:
+    """One whole-set evaluation under one interference-jitter map."""
+
+    jitter: dict[int, int | None]
+    idle: dict[int, int | None]
+    steps: dict[int, int]
+    bounds: dict[int, int | None]
+    converged: bool
 
 
-def _bounds_from(
-    flowset: Flowset, idle_map: Mapping[int, int | None]
-) -> dict[int, int | None]:
-    bounds: dict[int, int | None] = {}
-    for f in flowset:
-        idle = idle_map[f.flow_id]
-        queue = pre_injection_queue(flowset, f.flow_id, idle_map)
-        if idle is None or queue is None:
-            bounds[f.flow_id] = None
-            continue
-        no_load = len(flowset.path_of(f.flow_id)) + f.length
-        bounds[f.flow_id] = (
-            no_load
-            + len(flowset.ring_of(f.flow_id)) * f.maxloop
-            + idle
-            + queue
-            + post_injection(flowset, f.flow_id)
-        )
-    return bounds
-
-
-def _next_jitter(
-    flowset: Flowset, bounds: Mapping[int, int | None]
-) -> dict[int, int | None]:
-    jmap: dict[int, int | None] = {}
-    for f in flowset:
-        b = bounds[f.flow_id]
-        if b is None:
-            jmap[f.flow_id] = None
-        else:
-            no_load = len(flowset.path_of(f.flow_id)) + f.length
-            jmap[f.flow_id] = max(b - no_load, 0)
-    return jmap
-
-
-def analyze(
-    flowset: Flowset, mode: ProtocolMode, hard_cap: int = HARD_CAP
-) -> AnalysisReport:
-    """Whole-set bounds with interference jitter resolved by fixed point.
+def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
+    """Outer passes resolving interference jitter, one state per pass.
 
     Interference jitter of each flow is its bound minus its no-load latency
     from the previous pass, starting at zero; passes repeat until every bound
-    is unchanged.  Diverged flows keep a None bound, which forces every flow
-    depending on them to None as well, and never recover (passes are
-    monotone), so the loop terminates.
+    is unchanged, or ``MAX_PASSES`` have run.  Diverged flows keep a None
+    bound, which forces every flow depending on them to None as well, and
+    never recover (passes are monotone), so the fixed point is reached.
+    """
+    flows = [
+        (f.flow_id, _terms(flowset, f.flow_id, mode), divergence_cap(flowset, f.flow_id))
+        for f in flowset
+    ]
+    fixed = {f.flow_id: _fixed(flowset, f.flow_id) for f in flowset}
+    no_load = {f.flow_id: no_load_latency(flowset, f.flow_id) for f in flowset}
+    jmap: dict[int, int | None] = {fid: 0 for fid in fixed}
+    prev: dict[int, int | None] | None = None
+    for _ in range(MAX_PASSES):
+        idle: dict[int, int | None] = {}
+        steps: dict[int, int] = {}
+        for fid, terms, cap in flows:
+            idle[fid], steps[fid] = _idle(terms, jmap, cap)
+        bounds: dict[int, int | None] = {}
+        for fid, base in fixed.items():
+            queue = pre_injection_queue(flowset, fid, idle)
+            own = idle[fid]
+            bounds[fid] = None if own is None or queue is None else base + own + queue
+        converged = bounds == prev
+        yield _Pass(jmap, idle, steps, bounds, converged)
+        if converged:
+            return
+        prev = bounds
+        jmap = {
+            fid: None if b is None else max(b - no_load[fid], 0)
+            for fid, b in bounds.items()
+        }
+
+
+def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
+    """Whole-set bounds with interference jitter resolved by fixed point.
 
     Bounds only rise from pass to pass, so if ``MAX_PASSES`` runs out before
     the fixed point, the last pass's bounds may be too low: every flow is
     then reported with ``converged=False`` and ``schedulable=False``.
     """
     start = time.perf_counter()
-    jmap: dict[int, int | None] = {f.flow_id: 0 for f in flowset}
-    prev_bounds: dict[int, int | None] | None = None
     passes = 0
-    while True:
+    for last in _passes(flowset, mode):
         passes += 1
-        idle_map, iteration_map = _pass(flowset, mode, jmap, hard_cap)
-        bounds = _bounds_from(flowset, idle_map)
-        converged = bounds == prev_bounds
-        if converged or passes >= MAX_PASSES:
-            break
-        prev_bounds = bounds
-        jmap = _next_jitter(flowset, bounds)
     flows = tuple(
-        _assemble(flowset, f.flow_id, jmap, idle_map, iteration_map[f.flow_id])
+        _assemble(flowset, f.flow_id, last.jitter, last.idle, last.steps[f.flow_id])
         for f in flowset
     )
-    if not converged:
+    if not last.converged:
         flows = tuple(
             replace(fa, schedulable=False, converged=False) for fa in flows
         )
@@ -319,9 +299,7 @@ def analyze(
     )
 
 
-def quick_verdict(
-    flowset: Flowset, mode: ProtocolMode, hard_cap: int = HARD_CAP
-) -> bool:
+def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     """Schedulability verdict only, with early exits.
 
     Sound because bounds rise monotonically across passes: one flow over its
@@ -330,30 +308,16 @@ def quick_verdict(
     flows before any iteration.
     """
     for f in flowset:
-        floor = (
-            len(flowset.path_of(f.flow_id))
-            + f.length
-            + len(flowset.ring_of(f.flow_id)) * f.maxloop
-            + 1
-            + post_injection(flowset, f.flow_id)
-        )
+        floor = _fixed(flowset, f.flow_id) + 1
         for fid in flowset.interference_sets(f.flow_id).injection_sharers:
             floor += flowset.flow(fid).length + 1
         if floor > f.deadline:
             return False
-    jmap: dict[int, int | None] = {f.flow_id: 0 for f in flowset}
-    prev_bounds: dict[int, int | None] | None = None
-    passes = 0
-    while passes < MAX_PASSES:
-        passes += 1
-        idle_map, _ = _pass(flowset, mode, jmap, hard_cap)
-        bounds = _bounds_from(flowset, idle_map)
+    for state in _passes(flowset, mode):
         for f in flowset:
-            b = bounds[f.flow_id]
+            b = state.bounds[f.flow_id]
             if b is None or b > f.deadline:
                 return False
-        if bounds == prev_bounds:
+        if state.converged:
             return True
-        prev_bounds = bounds
-        jmap = _next_jitter(flowset, bounds)
     return False

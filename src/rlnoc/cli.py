@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a simulation exceeded an analysis bound,
-2 for unusable inputs (malformed files, impossible topologies).  All output
+2 for unusable inputs (malformed files, impossible topologies) and for
+files or directories that cannot be read or written.  All output
 artifacts are deterministic functions of the inputs and seeds; runs that
 take a seed drop a ``run_meta.json`` next to their outputs recording it.
 """
@@ -107,7 +108,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     write_report_csv(path, reports)
     for report in reports:
         for fa in report.flows:
-            bound = "diverged" if fa.bound is None else fa.bound
+            if fa.bound is None:
+                bound = "diverged"
+            elif not fa.converged:
+                bound = "not-converged"
+            else:
+                bound = fa.bound
             verdict = "ok" if fa.schedulable else "MISS"
             print(
                 f"flow {fa.flow_id} {report.mode.value}: C={fa.no_load} "
@@ -129,11 +135,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     violations = 0
     for mode in _modes(args.mode):
         report = analyze(fs, mode)
-        bounds = {
-            fa.flow_id: fa.bound
-            for fa in report.flows
-            if fa.bound is not None
-        }
+        bounds = {fa.flow_id: fa.bound for fa in report.flows if fa.converged}
         trace = run(
             fs, mode, pattern=pattern, horizon=args.horizon,
             seed=args.seed, bounds=bounds,
@@ -143,13 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_trace_summary_csv(
             os.path.join(out, f"summary_{mode.value}.csv"), trace
         )
-        per_flow: dict[int, list[int]] = {}
-        for rec in trace.records:
-            row = per_flow.setdefault(rec.flow_id, [0, 0, 0])
-            row[0] += 1
-            row[1] += rec.delivered
-            row[2] += rec.violated
-        for fid, (packets, delivered, violated) in sorted(per_flow.items()):
+        for fid, (packets, delivered, violated) in trace.per_flow().items():
             bound = bounds.get(fid, "-")
             worst = trace.max_latency.get(fid, "-")
             status = "ok" if violated == 0 else f"{violated} VIOLATIONS"
@@ -271,6 +267,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FileFormatError, ModelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{reason}", file=sys.stderr)
         return 2
 
 

@@ -239,16 +239,10 @@ def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:
 
 
 def write_trace_summary_csv(target: str | IO[str], trace: SimTrace) -> None:
-    per_flow: dict[int, list[int]] = {}
-    for r in trace.records:
-        row = per_flow.setdefault(r.flow_id, [0, 0, 0])
-        row[0] += 1
-        row[1] += r.delivered
-        row[2] += r.violated
     rows = [
         (fid, packets, delivered, trace.max_latency.get(fid),
          trace.max_deflections.get(fid), violations)
-        for fid, (packets, delivered, violations) in sorted(per_flow.items())
+        for fid, (packets, delivered, violations) in trace.per_flow().items()
     ]
     _write_csv(target, TRACE_SUMMARY_COLUMNS, rows)
 

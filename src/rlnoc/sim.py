@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .analysis import ProtocolMode
-from .model import Flow, Flowset, ModelError
+from .model import Flow, Flowset, ModelError, maxloop_oldest_first
 
 Flit = tuple[int, int, int]  # (flow_id, seq, idx)
 
@@ -89,6 +89,16 @@ class SimTrace:
     flit_hops: int
     retention_violations: int
     bound_violations: int
+
+    def per_flow(self) -> dict[int, tuple[int, int, int]]:
+        """(packets, delivered, bound violations) per flow, by flow id."""
+        tally: dict[int, list[int]] = {}
+        for r in self.records:
+            row = tally.setdefault(r.flow_id, [0, 0, 0])
+            row[0] += 1
+            row[1] += r.delivered
+            row[2] += r.violated
+        return {fid: tuple(tally[fid]) for fid in sorted(tally)}
 
 
 class ReleasePattern:
@@ -221,23 +231,20 @@ class _Simulator:
         self.src_pos: dict[int, int] = {}
         self.dst_switch: dict[int, int] = {}
         self.header_len = flowset.header_len
-        dst_count: dict[int, int] = {}
-        ring_pop: dict[int, int] = {}
         for f in flowset:
-            dst = top.switch_of_core(f.dst)
-            dst_count[dst] = dst_count.get(dst, 0) + 1
-            ring_pop[f.ring] = ring_pop.get(f.ring, 0) + 1
-        for f in flowset:
+            fid = f.flow_id
             ring = top.rings[f.ring]
-            self.flow_ring[f.flow_id] = f.ring
-            self.flow_len[f.flow_id] = f.length
-            self.src_pos[f.flow_id] = ring.position(top.switch_of_core(f.src))
-            dst = top.switch_of_core(f.dst)
-            self.dst_switch[f.flow_id] = dst
+            self.flow_ring[fid] = f.ring
+            self.flow_len[fid] = f.length
+            self.src_pos[fid] = ring.position(flowset.src_switch(fid))
+            self.dst_switch[fid] = flowset.dst_switch(fid)
             # A deflected packet longer than its ring would catch its own
             # tail (two of its flits on one link).  Deflection requires a
             # competitor: another flow on the ring or at the ejection link.
-            can_deflect = dst_count[dst] > 1 or ring_pop[f.ring] > 1
+            can_deflect = (
+                maxloop_oldest_first(flowset, fid) > 0
+                or flowset.interference_sets(fid).ring_peers
+            )
             if can_deflect and f.length > len(ring):
                 raise ModelError(
                     f"flow {f.flow_id}: length {f.length} exceeds its ring "

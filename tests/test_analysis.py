@@ -377,6 +377,7 @@ class TestAnalyze:
         assert not capped.schedulable
         for fa in capped.flows:
             assert not fa.converged and not fa.schedulable
+        assert quick_verdict(fs, BASE) is False
 
     def test_quick_verdict_agrees_with_full_analysis(self):
         rng = random.Random("quick")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import rlnoc.analysis
 import rlnoc.cli as cli
 from rlnoc.bench import SweepConfig, generate_flowset
 from rlnoc.files import load_flowset, save_flowset
@@ -76,6 +77,16 @@ class TestGenCommands:
         ])
         assert all(f.maxloop == 2 for f in load_flowset(str(out)))
 
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "fs.json"
+        rc = cli.main([
+            "gen-flowset", "--grid", "4", "--flows", "3", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: No such file or directory\n"
+        )
+
     def test_run_meta_written(self, tmp_path):
         cli.main([
             "gen-flowset", "--grid", "4", "--flows", "3",
@@ -113,6 +124,38 @@ class TestAnalyzeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'T'" in err and "missing" in err
+
+
+    def test_out_dir_below_a_file_exit_two(self, small_flowset, capsys):
+        out = f"{small_flowset}/x"
+        rc = cli.main(["analyze", small_flowset, "--out-dir", out])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+    def test_pass_cap_prints_no_bound(
+        self, small_flowset, tmp_path, monkeypatch, capsys
+    ):
+        # One pass can never confirm a fixed point, so no bound is final.
+        monkeypatch.setattr(rlnoc.analysis, "MAX_PASSES", 1)
+        rc = cli.main(["analyze", small_flowset, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("flow ")
+        ]
+        assert len(lines) == 4
+        assert all("R=not-converged" in line for line in lines)
+        rc = cli.main([
+            "simulate", small_flowset, "--horizon", "3000",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("flow ")
+        ]
+        assert len(lines) == 4
+        assert all("bound=- ok" in line for line in lines)
 
 
 class TestSimulateCommand:

@@ -290,13 +290,22 @@ class TestBoundFlagging:
 class TestPreconditions:
     def test_packet_longer_than_ring_with_competitor_rejected(self):
         top = multi_ring_2x4()
-        flows = [
-            make_flow(0, 6, 5, length=2),
-            make_flow(1, 1, 5, length=3),  # ring 2 has only 2 switches
+        cases = [
+            # Ejection competitor: destination 5 shared from another ring.
+            [
+                make_flow(0, 6, 5, length=2),
+                make_flow(1, 1, 5, length=3),  # ring 2 has only 2 switches
+            ],
+            # Ring peer with a different destination, no shared ejection.
+            [
+                make_flow(0, 1, 5, length=3, ring=2),
+                make_flow(1, 5, 1, length=2, ring=2),
+            ],
         ]
-        fs = Flowset(top, flows)
-        with pytest.raises(ModelError, match="exceeds its ring"):
-            run(fs, BASE, horizon=100)
+        for flows in cases:
+            fs = Flowset(top, flows)
+            with pytest.raises(ModelError, match="exceeds its ring"):
+                run(fs, BASE, horizon=100)
 
     def test_packet_longer_than_ring_without_competitor_runs(self):
         top = multi_ring_2x4()
