@@ -15,6 +15,13 @@ absorbs the payload at the destination, and streams the retained payload
 copy behind the returning header at the origin switch.  The retained stream
 claims only the ring output port, never the core's injection link.
 
+Every in-order flit range the switches take is one record, ``_Run``: an
+ejection, a payload discard, a dropped header, an injection and a
+re-injection alike.  Retention and arming are derived, not stored: the origin
+still holds a deflected packet's payload exactly when no newer packet of its
+flow has been released, and a flagged header leaving its origin switch was
+armed there, since a header whose payload was evicted is dropped on arrival.
+
 Ejection arbitration is Oldest-First on injection timestamps, realized with
 reservations: a deflected packet leaves a pending entry at its destination,
 and younger headers defer to it even when the link is idle.  Ties break by
@@ -130,11 +137,10 @@ class Synchronous(ReleasePattern):
 
 
 class Periodic(ReleasePattern):
-    def __init__(self, offset: int = 0) -> None:
-        self.offset = offset
+    """Every flow releases at each multiple of its period, from 0."""
 
     def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        return list(range(self.offset, horizon, flow.period))
+        return list(range(0, horizon, flow.period))
 
 
 class PeriodicWithJitter(ReleasePattern):
@@ -166,48 +172,39 @@ class Sporadic(ReleasePattern):
         return out
 
 
-def default_horizon(flowset: Flowset, cap: int = 2_000_000) -> int:
-    """Twice the largest period per flow, bounded by ``cap``."""
+HORIZON_CAP = 2_000_000
+
+
+def default_horizon(flowset: Flowset) -> int:
+    """Twice the largest period per flow, bounded by ``HORIZON_CAP``."""
     if not len(flowset):
         return 1
-    return min(cap, 2 * max(f.period for f in flowset) * len(flowset))
+    return min(HORIZON_CAP, 2 * max(f.period for f in flowset) * len(flowset))
 
 
-class _Eject:
-    __slots__ = ("flow_id", "seq", "ring", "next_idx", "left")
+class _Run:
+    """Flits ``next_idx..end-1`` of one packet, taken in index order.
 
-    def __init__(self, flow_id: int, seq: int, ring: int, length: int) -> None:
+    A run absorbed at a switch is an ejection ``(1, L)``, a payload discard
+    after a header-only deflection ``(H, L)`` or a dropped header's tail
+    ``(1, H)``.  A run claiming an output port is an injection ``(0, L)``,
+    each flit crossing the injection link and a ring link (``hops=2``), or
+    a re-injection ``(H, L)`` of the retained payload, which first lets the
+    ``skip`` header flits still behind the returning header pass through.
+    """
+
+    __slots__ = ("flow_id", "seq", "next_idx", "end", "skip", "hops")
+
+    def __init__(
+        self, flow_id: int, seq: int, next_idx: int, end: int,
+        skip: int = 0, hops: int = 1,
+    ) -> None:
         self.flow_id = flow_id
         self.seq = seq
-        self.ring = ring
-        self.next_idx = 1
-        self.left = length - 1
-
-
-class _Stream:
-    """An injection claiming the output port for a whole packet."""
-
-    __slots__ = ("flow_id", "seq", "next_idx", "length", "started")
-
-    def __init__(self, flow_id: int, seq: int, length: int, started: int) -> None:
-        self.flow_id = flow_id
-        self.seq = seq
-        self.next_idx = 0
-        self.length = length
-        self.started = started
-
-
-class _Hold:
-    """A re-injection: header flits pass through, payload streams after."""
-
-    __slots__ = ("flow_id", "seq", "ring_left", "next_idx", "ret_left")
-
-    def __init__(self, flow_id: int, seq: int, header_len: int, length: int) -> None:
-        self.flow_id = flow_id
-        self.seq = seq
-        self.ring_left = header_len - 1
-        self.next_idx = header_len
-        self.ret_left = length - header_len
+        self.next_idx = next_idx
+        self.end = end
+        self.skip = skip
+        self.hops = hops
 
 
 class _Simulator:
@@ -254,15 +251,15 @@ class _Simulator:
 
         # Mutable network state.
         self.buffers: dict[tuple[int, int], list[Flit]] = {}
-        self.streams: dict[tuple[int, int], _Stream] = {}
-        self.holds: dict[tuple[int, int], _Hold] = {}
-        self.ejecting: dict[int, _Eject] = {}
-        # (ring, pos) -> [fid, seq, next_idx, last_idx]: absorb that idx range.
-        self.discarding: dict[tuple[int, int], list[int]] = {}
+        # (ring, pos) -> the injection or re-injection holding that output.
+        self.claims: dict[tuple[int, int], _Run] = {}
+        self.ejecting: dict[int, _Run] = {}  # switch -> packet on its link
+        self.discarding: dict[tuple[int, int], _Run] = {}  # absorbed at (ring, pos)
         self.pending: dict[int, dict[tuple[int, int], tuple[int, int, int]]] = {}
-        self.flagged: dict[tuple[int, int], bool] = {}
-        self.armed: dict[tuple[int, int], bool] = {}
-        self.retention: dict[int, int] = {}  # flow_id -> retained seq
+        # Header-only deflected packets whose header has not yet passed its
+        # origin.  The origin still retains the payload exactly when no newer
+        # packet of the flow has been released since.
+        self.flagged: set[tuple[int, int]] = set()
         self.last_released: dict[int, int] = {}
         self.queues: dict[int, list[tuple[int, int]]] = {}  # switch -> [(fid, seq)]
         self.inj_busy_until: dict[int, int] = {}
@@ -302,9 +299,9 @@ class _Simulator:
         self.pending.setdefault(switch, {})[(fid, seq)] = self._key(fid, seq)
         length = self.flow_len[fid]
         if self.mode is ProtocolMode.PROPOSED and length > self.header_len:
-            self.flagged[(fid, seq)] = True
+            self.flagged.add((fid, seq))
             # Absorb the payload flits trailing the header as they arrive.
-            self.discarding[(ring, pos)] = [fid, seq, self.header_len, length - 1]
+            self.discarding[(ring, pos)] = _Run(fid, seq, self.header_len, length)
 
     def _drop(self, ring: int, pos: int, flit: Flit) -> None:
         """Retention gone: absorb the whole returning header, clear state."""
@@ -314,8 +311,8 @@ class _Simulator:
         self.retention_violations += 1
         self.consumed_flits += 1
         if self.header_len > 1:
-            self.discarding[(ring, pos)] = [fid, seq, 1, self.header_len - 1]
-        self.flagged.pop((fid, seq), None)
+            self.discarding[(ring, pos)] = _Run(fid, seq, 1, self.header_len)
+        self.flagged.discard((fid, seq))
         dst = self.dst_switch[fid]
         pend = self.pending.get(dst)
         if pend:
@@ -339,31 +336,31 @@ class _Simulator:
                         f"out-of-order ejection flit {flit} at switch {switch}"
                     )
                 ej.next_idx += 1
-                ej.left -= 1
                 self.flit_hops += 1
                 self.consumed_flits += 1
-                if ej.left == 0:
+                if ej.next_idx == ej.end:
                     self.records[(fid, seq)].eject_end = cycle
                     del self.ejecting[switch]
                 continue
             dis = self.discarding.get((ring, pos))
-            if dis is not None and dis[0] == fid and dis[1] == seq and idx == dis[2]:
-                dis[2] += 1
+            if (
+                dis is not None and dis.flow_id == fid and dis.seq == seq
+                and idx == dis.next_idx
+            ):
+                dis.next_idx += 1
                 self.consumed_flits += 1
-                if dis[2] > dis[3]:
+                if dis.next_idx == dis.end:
                     del self.discarding[(ring, pos)]
                 continue
             if idx == 0:
-                if self.flagged.get((fid, seq)) and pos == self.src_pos[fid]:
-                    if self.retention.get(fid) == seq:
-                        self.armed[(fid, seq)] = True
+                flagged = (fid, seq) in self.flagged
+                if flagged and pos == self.src_pos[fid]:
+                    if self.last_released[fid] == seq:
                         forward[(ring, pos)] = flit
                     else:
                         self._drop(ring, pos, flit)
                     continue
-                if switch == self.dst_switch[fid] and not self.flagged.get(
-                    (fid, seq)
-                ):
+                if switch == self.dst_switch[fid] and not flagged:
                     eject_wanting.setdefault(switch, []).append(((ring, pos), flit))
                     continue
             forward[(ring, pos)] = flit
@@ -387,7 +384,7 @@ class _Simulator:
                     if length == 1:
                         self.records[(fid, seq)].eject_end = cycle
                     else:
-                        self.ejecting[switch] = _Eject(fid, seq, ring, length)
+                        self.ejecting[switch] = _Run(fid, seq, 1, length)
                 else:
                     self._deflect(ring, pos, flit)
                     forward[(ring, pos)] = flit
@@ -398,11 +395,8 @@ class _Simulator:
     ) -> dict[tuple[int, int], Flit]:
         """Resolve every output port; returns next cycle's arrivals."""
         active: set[tuple[int, int]] = set(forward)
-        active.update(self.streams)
+        active.update(self.claims)
         active.update(k for k, buf in self.buffers.items() if buf)
-        active.update(
-            k for k, hold in self.holds.items() if hold.ret_left > 0
-        )
         for switch, queue in self.queues.items():
             if queue:
                 fid, _ = queue[0]
@@ -423,27 +417,14 @@ class _Simulator:
     def _emit_one(
         self, cycle: int, ring: int, pos: int, incoming: Flit | None
     ) -> Flit | None:
-        stream = self.streams.get((ring, pos))
-        if stream is not None:
-            flit = (stream.flow_id, stream.seq, stream.next_idx)
-            stream.next_idx += 1
-            self.flit_hops += 2  # injection link + ring link
+        claim = self.claims.get((ring, pos))
+        if claim is not None and claim.skip == 0:
+            flit = (claim.flow_id, claim.seq, claim.next_idx)
+            claim.next_idx += 1
+            self.flit_hops += claim.hops
             self.injected_flits += 1
-            if stream.next_idx == stream.length:
-                del self.streams[(ring, pos)]
-            if incoming is not None:
-                self._buffer_put(ring, pos, incoming)
-            return flit
-
-        hold = self.holds.get((ring, pos))
-        if hold is not None and hold.ring_left == 0:
-            flit = (hold.flow_id, hold.seq, hold.next_idx)
-            hold.next_idx += 1
-            hold.ret_left -= 1
-            self.flit_hops += 1
-            self.injected_flits += 1
-            if hold.ret_left == 0:
-                del self.holds[(ring, pos)]
+            if claim.next_idx == claim.end:
+                del self.claims[(ring, pos)]
             if incoming is not None:
                 self._buffer_put(ring, pos, incoming)
             return flit
@@ -460,28 +441,31 @@ class _Simulator:
             emitted = incoming
             self.flit_hops += 1
         else:
-            if hold is not None:
+            if claim is not None:
                 raise SimInvariantError(
                     f"re-injection header flit missing at ring {ring} pos {pos}"
                 )
             self._try_inject(cycle, ring, pos)
             return None
 
-        if hold is not None:
-            expect = (hold.flow_id, hold.seq, self.header_len - hold.ring_left)
+        if claim is not None:
+            expect = (claim.flow_id, claim.seq, claim.next_idx - claim.skip)
             if emitted != expect:
                 raise SimInvariantError(
                     f"re-injection header broken: expected {expect}, got {emitted}"
                 )
-            hold.ring_left -= 1
+            claim.skip -= 1
             return emitted
 
         fid, seq, idx = emitted
-        if idx == 0 and self.armed.pop((fid, seq), None):
-            self.flagged.pop((fid, seq), None)
+        # A flagged header reaches its origin's output only when the payload
+        # was still retained there; otherwise it was dropped on arrival.
+        if idx == 0 and pos == self.src_pos[fid] and (fid, seq) in self.flagged:
+            self.flagged.remove((fid, seq))
             # The retained payload streams out right behind this header.
-            self.holds[(ring, pos)] = _Hold(
-                fid, seq, self.header_len, self.flow_len[fid]
+            self.claims[(ring, pos)] = _Run(
+                fid, seq, self.header_len, self.flow_len[fid],
+                skip=self.header_len - 1,
             )
         return emitted
 
@@ -500,12 +484,9 @@ class _Simulator:
         queue.pop(0)
         self.queued_packets -= 1
         length = self.flow_len[fid]
-        self.streams[(ring, pos)] = _Stream(fid, seq, length, cycle)
+        self.claims[(ring, pos)] = _Run(fid, seq, 0, length, hops=2)
         self.inj_busy_until[switch] = cycle + length
         self.records[(fid, seq)].inject_start = cycle
-        if self.last_released.get(fid) == seq:
-            # A newer release has already evicted older retained payloads.
-            self.retention[fid] = seq
 
     def _check_conservation(self, arrivals: dict[tuple[int, int], Flit]) -> None:
         # A flit is injected when it first crosses a link and consumed when
@@ -533,8 +514,7 @@ class _Simulator:
         while cycle < horizon:
             if (
                 not arrivals
-                and not self.streams
-                and not self.holds
+                and not self.claims
                 and not self.ejecting
                 and not self.discarding
                 and self.buffered_flits == 0
@@ -553,7 +533,6 @@ class _Simulator:
                 self.queues.setdefault(src, []).append((fid, seq))
                 self.queued_packets += 1
                 # Releasing a packet evicts the flow's retained payload.
-                self.retention.pop(fid, None)
                 self.last_released[fid] = seq
             forward = self._arrive(cycle, arrivals)
             arrivals = self._emit(cycle, forward)

@@ -2,7 +2,8 @@
 
 The SHA-256 digests below were recorded from the same commands before the
 flowset index was rewritten (the 4x4/100 case before the analysis passes
-were merged into one driver).  A change that alters any of these bytes
+were merged into one driver, the simulation case before the simulator's
+state was rebuilt around one flit-range record).  A change that alters any of these bytes
 changes a result, not just its speed.
 """
 import hashlib
@@ -26,6 +27,13 @@ GOLDEN = {
     # proposed flows miss their deadlines, over 12 outer passes.
     "fs_4x4_100.json": "07ce82598cadb0c8ee93c9eb2d6566a7e79216545dbcb5429163ae7f3cf1163b",
     "report_4x4_100.csv": "e226ef667ff0920e9bedfbeb39c63e13e4c2c999af3145297c33ee6d718886d5",
+    # 4x4, 40 flows of 2-4 flits, synchronous releases: 16 baseline and 19
+    # proposed deflections, every one of them re-injected.
+    "fs_sim.json": "8b99e091a53ebd144da1c7f4a1a939f2b764d9cccd6e338e3510d39283aac5d4",
+    "trace_baseline.csv": "bacfab0b4e032d20b6bc5a5d255881afa557e7b6cd6837127daeae42a388e577",
+    "trace_proposed.csv": "a229b6b9708bafef089b150c5dd650455afb610e1899fae5e0e132711c34dd39",
+    "summary_baseline.csv": "65e8ef62a9bb92ca292d6562cd52e3f474f750bf9d1f45d1fc982ba53ffc5525",
+    "summary_proposed.csv": "353e9b2652510154cfadb153683166302ddb99685d3865868f0d36e748a99112",
 }
 
 
@@ -76,3 +84,22 @@ def test_diverged_and_missed_report_csv_bytes(tmp_path):
     assert _gen_and_analyze(tmp_path, "4", "100", "2") == (
         GOLDEN["fs_4x4_100.json"], GOLDEN["report_4x4_100.csv"],
     )
+
+
+def test_simulation_trace_and_summary_bytes(tmp_path):
+    flowset = tmp_path / "fs.json"
+    rc = cli.main([
+        "gen-flowset", "--grid", "4", "--flows", "40", "--packet-range",
+        "2-4", "--seed", "0", "--out", str(flowset),
+    ])
+    assert rc == 0
+    assert _sha256(flowset) == GOLDEN["fs_sim.json"]
+    rc = cli.main([
+        "simulate", str(flowset), "--mode", "both", "--pattern",
+        "synchronous", "--horizon", "20000", "--seed", "0",
+        "--protocol-check", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    for name in ("trace_baseline.csv", "trace_proposed.csv",
+                 "summary_baseline.csv", "summary_proposed.csv"):
+        assert _sha256(tmp_path / name) == GOLDEN[name], name

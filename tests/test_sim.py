@@ -11,13 +11,16 @@ import random
 
 import pytest
 
+import rlnoc.cli as cli
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 from rlnoc.analysis import ProtocolMode, analyze
+from rlnoc.files import load_flowset
 from rlnoc.model import Flowset, ModelError, generate_rlrec, maxloop_oldest_first
 from rlnoc.sim import (
     Periodic,
     PeriodicWithJitter,
     ReleasePattern,
+    SimInvariantError,
     Sporadic,
     Synchronous,
     default_horizon,
@@ -258,12 +261,60 @@ class TestRetentionViolation:
             assert lat[(1, seq)] == 4
         assert lat[(0, 0)] == 11
 
+    def test_queued_release_evicts_retained_payload(self):
+        # Flow 1's first packet is deflected at switch 6 (flow 0 is older)
+        # and its header loops ring 1 back to switch 2 at cycle 5.  Flow 2
+        # holds switch 2's injection link over cycles 3-10, so flow 1's next
+        # packet, released at 4, is still queued when that header returns.
+        # The release alone evicted the retained payload: the header drops.
+        top = multi_ring_2x4()
+        flows = [
+            make_flow(0, 3, 6, length=8),
+            make_flow(1, 2, 6, length=2),
+            make_flow(2, 2, 3, length=8),
+        ]
+        fs = Flowset(top, flows)
+        pattern = _Explicit({0: [0], 1: [1, 4], 2: [2]})
+        trace = run(fs, PROP, pattern=pattern, horizon=64, protocol_check=True)
+        by_pkt = {(r.flow_id, r.seq): r for r in trace.records}
+        assert by_pkt[(2, 0)].inject_start == 3
+        assert by_pkt[(1, 1)].inject_start == 11
+        assert trace.retention_violations == 1
+        assert {pkt for pkt, r in by_pkt.items() if r.dropped} == {(1, 0)}
+        assert by_pkt[(1, 0)].deflections == 1
+        assert by_pkt[(1, 0)].eject_end is None
+
     def test_baseline_never_consults_retention(self):
         trace = run(self._flowset(), BASE, pattern=self._pattern(), horizon=128,
                     protocol_check=True)
         assert trace.retention_violations == 0
         assert not any(r.dropped for r in trace.records)
         assert sum(r.deflections for r in trace.records) >= 2
+
+
+class TestReInjectionBuffer:
+    """Known defect, frozen until the protocol or the bounds change.
+
+    Ring buffers hold as many flits as the longest packet on the ring (4
+    here).  At switch 3 the buffer already holds another flow's packet and a
+    header when a retained payload streams out behind its returning header,
+    which pushes a fifth flit in.  The analysis accepts this flowset under
+    the proposed protocol, and baseline mode runs it clean.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=SimInvariantError,
+                       reason="buffer overflow at switch 3 ring 0")
+    def test_schedulable_flowset_overflows_under_re_injection(self, tmp_path):
+        path = tmp_path / "fs.json"
+        assert cli.main([
+            "gen-flowset", "--grid", "4", "--flows", "30", "--packet-range",
+            "2-4", "--seed", "13", "--out", str(path),
+        ]) == 0
+        fs = load_flowset(str(path))
+        assert analyze(fs, PROP).schedulable
+        run(fs, BASE, pattern=Synchronous(), horizon=20_000,
+            protocol_check=True)
+        run(fs, PROP, pattern=Synchronous(), horizon=20_000)
 
 
 class TestBoundFlagging:
@@ -327,8 +378,9 @@ class TestReleasePatterns:
         assert times == [0, 0, 0, 5, 15, 25]
 
     def test_periodic_offset(self):
+        # Releases start at 0, the synchronous critical instant's origin.
         flow = make_flow(0, 1, 7, period=10)
-        assert Periodic(offset=3).release_times(flow, 30, "s") == [3, 13, 23]
+        assert Periodic().release_times(flow, 30, "s") == [0, 10, 20]
 
     def test_periodic_with_jitter_windows(self):
         flow = make_flow(0, 1, 7, period=10, jitter=50)
