@@ -67,13 +67,13 @@ def divergence_cap(flowset: Flowset, flow_id: int, hard_cap: int = HARD_CAP) -> 
     """Busy-period size beyond which iteration gives up.
 
     Anything past the deadline already means unschedulable, so the cap only
-    needs to sit above it; it scales with the peers' total deflection count
-    so slowly-converging but finite instances are not cut off early.
+    needs to sit above it (the period, as a deadline never exceeds it); it
+    scales with the peers' total deflection count so slowly-converging but
+    finite instances are not cut off early.
     """
-    flow = flowset.flow(flow_id)
     peers = flowset.interference_sets(flow_id).ring_peers
-    loops = sum(flowset.flow(j).maxloop for j in peers)
-    return min(hard_cap, max(flow.deadline, flow.period) * (1 + loops))
+    loops = sum(flowset.maxloops[j] for j in peers)
+    return min(hard_cap, flowset.flow(flow_id).period * (1 + loops))
 
 
 def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
@@ -86,16 +86,17 @@ def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
     full-packet deflection but only the header under header-only deflection.
     """
     sets = flowset.interference_sets(flow_id)
+    loops = flowset.maxloops
     terms: list[Term] = []
     for fid in sets.upstream:
         g = flowset.flow(fid)
-        terms.append((fid, (1 + g.maxloop) * g.length, g.period, g.jitter))
+        terms.append((fid, (1 + loops[fid]) * g.length, g.period, g.jitter))
     for fid in sets.deflected_only:
-        g = flowset.flow(fid)
-        if g.maxloop == 0:
+        if loops[fid] == 0:
             continue
+        g = flowset.flow(fid)
         charge = g.length if mode is ProtocolMode.BASELINE else flowset.header_len
-        terms.append((fid, g.maxloop * charge, g.period, g.jitter))
+        terms.append((fid, loops[fid] * charge, g.period, g.jitter))
     return terms
 
 
@@ -154,11 +155,10 @@ def post_injection(flowset: Flowset, flow_id: int) -> int:
     Every downstream switch can hold the packet for a full buffer drain, and
     each deflection adds one lap of the ring at one buffer delay per link.
     """
-    flow = flowset.flow(flow_id)
     ring_len = len(flowset.ring_of(flow_id))
     buf = flowset.buffer_of(flow_id)
     downstream = len(flowset.path_of(flow_id)) - 1
-    return downstream * buf + flow.maxloop * ring_len * buf
+    return downstream * buf + flowset.maxloops[flow_id] * ring_len * buf
 
 
 def _fixed(flowset: Flowset, flow_id: int) -> int:
@@ -167,59 +167,8 @@ def _fixed(flowset: Flowset, flow_id: int) -> int:
     No-load latency, one ring crossing per own deflection, and
     post-injection buffering; the bound adds the idle and queue waits.
     """
-    loops = len(flowset.ring_of(flow_id)) * flowset.flow(flow_id).maxloop
+    loops = len(flowset.ring_of(flow_id)) * flowset.maxloops[flow_id]
     return no_load_latency(flowset, flow_id) + loops + post_injection(flowset, flow_id)
-
-
-def _assemble(
-    flowset: Flowset,
-    flow_id: int,
-    jmap: JitterMap,
-    idle_map: Mapping[int, int | None],
-    iterations: int,
-) -> FlowAnalysis:
-    flow = flowset.flow(flow_id)
-    idle = idle_map[flow_id]
-    queue = pre_injection_queue(flowset, flow_id, idle_map)
-    if idle is None or queue is None:
-        bound = None
-    else:
-        bound = _fixed(flowset, flow_id) + idle + queue
-    peers = flowset.interference_sets(flow_id).ring_peers
-    return FlowAnalysis(
-        flow_id=flow_id,
-        no_load=no_load_latency(flowset, flow_id),
-        pre_idle=idle,
-        pre_queue=queue,
-        post_injection=post_injection(flowset, flow_id),
-        bound=bound,
-        deadline=flow.deadline,
-        jitter_used=tuple((fid, jmap.get(fid, 0)) for fid in peers),
-        schedulable=bound is not None and bound <= flow.deadline,
-        converged=bound is not None,
-        iterations=iterations,
-    )
-
-
-def response_time(
-    flowset: Flowset,
-    flow_id: int,
-    mode: ProtocolMode,
-    interference_jitter: JitterMap | None = None,
-) -> FlowAnalysis:
-    """Single-pass bound for one flow under a fixed interference-jitter map.
-
-    Sharers' idle waits are computed against the same jitter snapshot, so the
-    result is independent of evaluation order.
-    """
-    jmap = dict(interference_jitter or {})
-    sharers = flowset.interference_sets(flow_id).injection_sharers
-    idle = {
-        fid: _idle(_terms(flowset, fid, mode), jmap, divergence_cap(flowset, fid))
-        for fid in (flow_id, *sharers)
-    }
-    idle_map = {fid: value for fid, (value, _) in idle.items()}
-    return _assemble(flowset, flow_id, jmap, idle_map, idle[flow_id][1])
 
 
 @dataclass(frozen=True)
@@ -229,6 +178,7 @@ class _Pass:
     jitter: dict[int, int | None]
     idle: dict[int, int | None]
     steps: dict[int, int]
+    queue: dict[int, int | None]
     bounds: dict[int, int | None]
     converged: bool
 
@@ -255,20 +205,53 @@ def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
         steps: dict[int, int] = {}
         for fid, terms, cap in flows:
             idle[fid], steps[fid] = _idle(terms, jmap, cap)
+        queue: dict[int, int | None] = {}
         bounds: dict[int, int | None] = {}
         for fid, base in fixed.items():
-            queue = pre_injection_queue(flowset, fid, idle)
+            queue[fid] = wait = pre_injection_queue(flowset, fid, idle)
             own = idle[fid]
-            bounds[fid] = None if own is None or queue is None else base + own + queue
+            bounds[fid] = None if own is None or wait is None else base + own + wait
         converged = bounds == prev
-        yield _Pass(jmap, idle, steps, bounds, converged)
+        yield _Pass(jmap, idle, steps, queue, bounds, converged)
         if converged:
             return
         prev = bounds
+        # A bound is at least no-load latency plus one idle cycle, so the
+        # jitter it hands on is positive.
         jmap = {
-            fid: None if b is None else max(b - no_load[fid], 0)
+            fid: None if b is None else b - no_load[fid]
             for fid, b in bounds.items()
         }
+
+
+def _row(flowset: Flowset, flow_id: int, state: _Pass) -> FlowAnalysis:
+    """The flow's result as the pass ``state`` left it."""
+    flow = flowset.flow(flow_id)
+    bound = state.bounds[flow_id]
+    peers = flowset.interference_sets(flow_id).ring_peers
+    return FlowAnalysis(
+        flow_id=flow_id,
+        no_load=no_load_latency(flowset, flow_id),
+        pre_idle=state.idle[flow_id],
+        pre_queue=state.queue[flow_id],
+        post_injection=post_injection(flowset, flow_id),
+        bound=bound,
+        deadline=flow.deadline,
+        jitter_used=tuple((fid, state.jitter[fid]) for fid in peers),
+        schedulable=bound is not None and bound <= flow.deadline,
+        converged=bound is not None,
+        iterations=state.steps[flow_id],
+    )
+
+
+def response_time(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> FlowAnalysis:
+    """Single-pass bound for one flow, every interferer's jitter taken as zero.
+
+    This is the first outer pass of ``analyze``: sharers' idle waits are
+    computed against the same jitter snapshot, so the result is independent
+    of evaluation order.
+    """
+    return _row(flowset, flow_id, next(_passes(flowset, mode)))
 
 
 def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
@@ -282,10 +265,7 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     passes = 0
     for last in _passes(flowset, mode):
         passes += 1
-    flows = tuple(
-        _assemble(flowset, f.flow_id, last.jitter, last.idle, last.steps[f.flow_id])
-        for f in flowset
-    )
+    flows = tuple(_row(flowset, f.flow_id, last) for f in flowset)
     if not last.converged:
         flows = tuple(
             replace(fa, schedulable=False, converged=False) for fa in flows

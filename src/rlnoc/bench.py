@@ -271,7 +271,7 @@ def improvement_report(
         cores = rng.sample(range(n_cores), len(endpoints))
         placement = dict(zip(endpoints, cores))
         remapped = [
-            replace(f, src=placement[f.src], dst=placement[f.dst], ring=None)
+            replace(f, src=placement[f.src], dst=placement[f.dst])
             for f in traffic
         ]
         flowset = Flowset(topology, remapped)

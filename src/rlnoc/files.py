@@ -101,8 +101,6 @@ def _parse_flow(entry: Any, index: int, path: str, text: str) -> Flow:
         jitter=_get_int(entry, "J", path, text, occurrence, minimum=0),
         src=_get_int(entry, "src", path, text, occurrence, minimum=0),
         dst=_get_int(entry, "dst", path, text, occurrence, minimum=0),
-        ring=None,
-        maxloop=None,
     )
     if entry.get("maxloop") is not None:
         kwargs["maxloop"] = _get_int(entry, "maxloop", path, text,
@@ -135,7 +133,7 @@ def _parse_topology(doc: Mapping[str, Any], path: str,
     raise AssertionError("unreachable")
 
 
-def load_flowset(path: str, header_len: int = 1) -> Flowset:
+def load_flowset(path: str) -> Flowset:
     doc, text = _load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
@@ -145,7 +143,7 @@ def load_flowset(path: str, header_len: int = 1) -> Flowset:
         _fail(path, "flows", "must be a list", _line_of(text, "flows"))
     flows = [_parse_flow(e, i, path, text) for i, e in enumerate(raw_flows)]
     try:
-        return Flowset(topology, flows, header_len=header_len)
+        return Flowset(topology, flows)
     except ModelError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 
@@ -159,7 +157,8 @@ def save_flowset(path: str, flowset: Flowset) -> None:
         "flows": [
             {
                 "id": f.flow_id, "T": f.period, "D": f.deadline, "L": f.length,
-                "J": f.jitter, "src": f.src, "dst": f.dst, "maxloop": f.maxloop,
+                "J": f.jitter, "src": f.src, "dst": f.dst,
+                "maxloop": flowset.maxloops[f.flow_id],
             }
             for f in flowset
         ],

@@ -9,8 +9,8 @@ through that switch.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 CoreId = int
 SwitchId = int
@@ -26,23 +26,16 @@ class Ring:
     """An ordered, cyclic, unidirectional sequence of distinct switches.
 
     ``switches[i]`` forwards to ``switches[(i + 1) % len(switches)]``.
-    ``buffer_size`` is the per-switch packet buffer capacity in flits; it is
-    a provisioning default that flowset finalization overrides with the
-    largest packet assigned to the ring.
     """
 
     ring_id: RingId
     switches: tuple[SwitchId, ...]
-    buffer_size: int = 1
 
     def __post_init__(self) -> None:
         if len(self.switches) < 2:
             raise ModelError(f"ring {self.ring_id}: needs at least 2 switches")
         if len(set(self.switches)) != len(self.switches):
             raise ModelError(f"ring {self.ring_id}: switches must be distinct")
-        if self.buffer_size < 1:
-            raise ModelError(f"ring {self.ring_id}: buffer_size must be >= 1")
-        object.__setattr__(self, "_switch_set", frozenset(self.switches))
         object.__setattr__(
             self, "_index", {s: i for i, s in enumerate(self.switches)}
         )
@@ -51,7 +44,7 @@ class Ring:
         return len(self.switches)
 
     def __contains__(self, switch: SwitchId) -> bool:
-        return switch in self._switch_set  # type: ignore[attr-defined]
+        return switch in self._index  # type: ignore[attr-defined]
 
     def position(self, switch: SwitchId) -> int:
         try:
@@ -134,7 +127,7 @@ def _perimeter(r0: int, c0: int, r1: int, c1: int, cols: int) -> tuple[SwitchId,
     return tuple(cells)
 
 
-def generate_rlrec(rows: int, cols: int, buffer_size: int = 1) -> NetworkTopology:
+def generate_rlrec(rows: int, cols: int) -> NetworkTopology:
     """Generate the recursive-layering ring placement for a square grid.
 
     Layers are the nested square frames of the grid, processed from the
@@ -156,9 +149,7 @@ def generate_rlrec(rows: int, cols: int, buffer_size: int = 1) -> NetworkTopolog
     if rows < 2:
         raise ModelError(f"grid must be at least 2x2, got {rows}x{cols}")
     if rows == 2:
-        ring = Ring(
-            ring_id=0, switches=_perimeter(0, 0, 1, 1, cols), buffer_size=buffer_size
-        )
+        ring = Ring(ring_id=0, switches=_perimeter(0, 0, 1, 1, cols))
         return NetworkTopology(rows=2, cols=2, rings=(ring,))
     rects: list[tuple[int, int, int, int]] = []
     n = rows
@@ -178,19 +169,19 @@ def generate_rlrec(rows: int, cols: int, buffer_size: int = 1) -> NetworkTopolog
         walk = _perimeter(r0, c0, r1, c1, cols)
         if idx % 2:
             walk = walk[::-1]
-        rings.append(Ring(ring_id=idx, switches=walk, buffer_size=buffer_size))
+        rings.append(Ring(ring_id=idx, switches=walk))
     return NetworkTopology(rows=rows, cols=cols, rings=tuple(rings))
 
 
 @dataclass(frozen=True)
 class Flow:
-    """A periodic packet flow between two cores.
+    """A periodic packet flow between two cores, as its input gives it.
 
     Times are in cycles.  ``length`` is the packet size in flits, one flit
-    crossing one link per cycle.  ``ring`` and ``maxloop`` may be left None
-    and are then filled in at flowset build time: the ring by shortest-path
-    assignment, maxloop by counting ejection-link competitors under
-    Oldest-First arbitration.
+    crossing one link per cycle.  ``maxloop`` is the deflection budget the
+    input fixes, or None to leave it to the Oldest-First count of
+    ejection-link competitors.  The flow's ring and its effective budget
+    are derived by the ``Flowset`` it joins, which never rewrites it.
     """
 
     flow_id: int
@@ -200,7 +191,6 @@ class Flow:
     jitter: int
     src: CoreId
     dst: CoreId
-    ring: RingId | None = None
     maxloop: int | None = None
 
     def __post_init__(self) -> None:
@@ -243,13 +233,17 @@ class InterferenceSets:
 class Flowset:
     """An immutable set of flows finalized against a topology.
 
-    Construction assigns rings, recomputes per-ring buffer sizes as the
-    largest packet on each ring, derives missing maxloop values, and builds
-    an index of the flows in one pass: each flow's switches and their
-    positions on its ring, flows bucketed by source switch and by ring, and
-    the Oldest-First competitor count of each flow.  Interference sets are
-    read from the buckets on first use and cached.  None of this depends on
-    maxloop, so the copies made by ``with_maxloop`` share all of it.
+    ``flows`` holds the given ``Flow`` objects unchanged; everything derived
+    from them lives here.  Construction builds an index of the flows in one
+    pass: each flow's ring (fewest hops), its switches and their positions
+    on that ring, flows bucketed by source switch and by ring, per-ring
+    buffer sizes (the largest packet on each ring), and the Oldest-First
+    competitor count of each flow.  ``maxloops`` maps each flow id to its
+    effective deflection budget: the flow's own ``maxloop`` when the input
+    fixes one, its competitor count otherwise.  Interference sets are read
+    from the buckets on first use and cached.  None of this but ``maxloops``
+    depends on the budget, so the copies made by ``with_maxloop`` share all
+    of it.
     """
 
     def __init__(
@@ -262,61 +256,50 @@ class Flowset:
             raise ModelError("header_len must be >= 1")
         self.topology = topology
         self.header_len = header_len
-        seen: set[int] = set()
-        for f in flows:
-            if f.flow_id in seen:
+        self.flows: tuple[Flow, ...] = tuple(flows)
+        self._by_id: dict[int, Flow] = {}
+        for f in self.flows:
+            if f.flow_id in self._by_id:
                 raise ModelError(f"duplicate flow id {f.flow_id}")
-            seen.add(f.flow_id)
+            self._by_id[f.flow_id] = f
             if f.length < header_len:
                 raise ModelError(
                     f"flow {f.flow_id}: length {f.length} below header_len {header_len}"
                 )
 
-        buffers = {r.ring_id: r.buffer_size for r in topology.rings}
-        # flow id -> (source switch, destination switch, their ring positions)
-        self._place: dict[int, tuple[SwitchId, SwitchId, int, int]] = {}
+        buffers = {r.ring_id: 1 for r in topology.rings}
+        # flow id -> (ring, source switch, destination switch, their ring positions)
+        self._place: dict[int, tuple[RingId, SwitchId, SwitchId, int, int]] = {}
         self._paths: dict[int, tuple[SwitchId, ...]] = {}
         self._by_src: dict[SwitchId, list[int]] = {}
         self._by_ring: dict[RingId, list[int]] = {}
         at_dst: dict[SwitchId, int] = {}
         at_ring_dst: dict[tuple[RingId, SwitchId], int] = {}
-        rings: list[RingId] = []
-        for f in flows:
+        for f in self.flows:
             src = topology.switch_of_core(f.src)
             dst = topology.switch_of_core(f.dst)
-            ring_id = f.ring
-            if ring_id is None:
-                ring_id = self._shortest_ring(f, src, dst)
+            ring_id = self._shortest_ring(f, src, dst)
             ring = topology.rings[ring_id]
-            if src not in ring or dst not in ring:
-                raise ModelError(
-                    f"flow {f.flow_id}: ring {ring_id} does not contain "
-                    f"switches {src} and {dst}"
-                )
-            self._place[f.flow_id] = (src, dst, ring.position(src), ring.position(dst))
+            self._place[f.flow_id] = (
+                ring_id, src, dst, ring.position(src), ring.position(dst)
+            )
             self._paths[f.flow_id] = ring.path(src, dst)
             self._by_src.setdefault(src, []).append(f.flow_id)
             self._by_ring.setdefault(ring_id, []).append(f.flow_id)
             at_dst[dst] = at_dst.get(dst, 0) + 1
             at_ring_dst[ring_id, dst] = at_ring_dst.get((ring_id, dst), 0) + 1
             buffers[ring_id] = max(buffers[ring_id], f.length)
-            rings.append(ring_id)
         self.ring_buffers: dict[RingId, int] = buffers
 
         # Ejection-link competitors: flows at the same destination switch
         # that arrive on another ring.
         self._competitors: dict[int, int] = {}
-        assigned = []
-        for f, ring_id in zip(flows, rings):
-            dst = self._place[f.flow_id][1]
+        self.maxloops: dict[int, int] = {}
+        for f in self.flows:
+            ring_id, _, dst, _, _ = self._place[f.flow_id]
             count = at_dst[dst] - at_ring_dst[ring_id, dst]
             self._competitors[f.flow_id] = count
-            if f.ring is None or f.maxloop is None:
-                f = replace(
-                    f, ring=ring_id, maxloop=count if f.maxloop is None else f.maxloop
-                )
-            assigned.append(f)
-        self._set_flows(assigned)
+            self.maxloops[f.flow_id] = count if f.maxloop is None else f.maxloop
         self._interference: dict[int, InterferenceSets] = {}
 
     def _shortest_ring(self, flow: Flow, src: SwitchId, dst: SwitchId) -> RingId:
@@ -334,10 +317,6 @@ class Flowset:
             )
         return min(candidates)[1]
 
-    def _set_flows(self, flows: Iterable[Flow]) -> None:
-        self.flows: tuple[Flow, ...] = tuple(flows)
-        self._by_id = {f.flow_id: f for f in self.flows}
-
     def __iter__(self):
         return iter(self.flows)
 
@@ -347,41 +326,36 @@ class Flowset:
     def flow(self, flow_id: int) -> Flow:
         return self._by_id[flow_id]
 
-    def ring_of(self, flow: Flow | int) -> Ring:
-        if isinstance(flow, int):
-            flow = self._by_id[flow]
-        return self.topology.rings[flow.ring]
+    def ring_of(self, flow_id: int) -> Ring:
+        return self.topology.rings[self._place[flow_id][0]]
 
     def path_of(self, flow_id: int) -> tuple[SwitchId, ...]:
         return self._paths[flow_id]
 
-    def buffer_of(self, flow: Flow | int) -> int:
-        if isinstance(flow, int):
-            flow = self._by_id[flow]
-        return self.ring_buffers[flow.ring]
+    def buffer_of(self, flow_id: int) -> int:
+        return self.ring_buffers[self._place[flow_id][0]]
 
     def src_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id][0]
+        return self._place[flow_id][1]
 
     def dst_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id][1]
+        return self._place[flow_id][2]
 
     def with_maxloop(self, maxloop: int) -> "Flowset":
         """Copy of this flowset with one maxloop value for every flow.
 
-        The copy shares this flowset's index, buffers, paths and
-        interference sets; only its flows differ.
+        The copy shares this flowset's flows, index, buffers, paths and
+        interference sets; only its ``maxloops`` differ.
         """
         budgeted = copy.copy(self)
-        budgeted._set_flows(replace(f, maxloop=maxloop) for f in self.flows)
+        budgeted.maxloops = dict.fromkeys(self.maxloops, maxloop)
         return budgeted
 
     def interference_sets(self, flow_id: int) -> InterferenceSets:
         cached = self._interference.get(flow_id)
         if cached is not None:
             return cached
-        src, _, p, _ = self._place[flow_id]
-        ring = self._by_id[flow_id].ring
+        ring, src, _, p, _ = self._place[flow_id]
         n = len(self.topology.rings[ring])
         peers, upstream, deflected = [], [], []
         for g in self._by_ring[ring]:
@@ -389,7 +363,7 @@ class Flowset:
                 continue
             peers.append(g)
             # g's path covers ring positions i, i + 1, ..., j (mod n).
-            _, _, i, j = self._place[g]
+            _, _, _, i, j = self._place[g]
             if (p - i) % n <= (j - i) % n:
                 upstream.append(g)
             else:
@@ -423,6 +397,6 @@ def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:
     one in-flight packet older than the packet under analysis, and only
     older packets are granted the link ahead of it, so its packets loop at
     most once per competitor.  The count is taken from the flowset's index
-    and holds even where the flow's maxloop was set explicitly.
+    and holds even where the input fixed the flow's maxloop.
     """
     return flowset._competitors[flow_id]

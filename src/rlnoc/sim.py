@@ -230,8 +230,8 @@ class _Simulator:
         self.header_len = flowset.header_len
         for f in flowset:
             fid = f.flow_id
-            ring = top.rings[f.ring]
-            self.flow_ring[fid] = f.ring
+            ring = flowset.ring_of(fid)
+            self.flow_ring[fid] = ring.ring_id
             self.flow_len[fid] = f.length
             self.src_pos[fid] = ring.position(flowset.src_switch(fid))
             self.dst_switch[fid] = flowset.dst_switch(fid)
@@ -249,7 +249,8 @@ class _Simulator:
                     f"overlap itself"
                 )
 
-        # Mutable network state.
+        # Mutable network state.  Buffers and queues hold only non-empty
+        # entries: an entry is deleted when it empties.
         self.buffers: dict[tuple[int, int], list[Flit]] = {}
         # (ring, pos) -> the injection or re-injection holding that output.
         self.claims: dict[tuple[int, int], _Run] = {}
@@ -265,8 +266,6 @@ class _Simulator:
         self.inj_busy_until: dict[int, int] = {}
         self.records: dict[tuple[int, int], PacketRecord] = {}
 
-        self.buffered_flits = 0
-        self.queued_packets = 0
         self.flit_hops = 0
         self.retention_violations = 0
         self.injected_flits = 0
@@ -284,7 +283,6 @@ class _Simulator:
     def _buffer_put(self, ring: int, pos: int, flit: Flit) -> None:
         buf = self.buffers.setdefault((ring, pos), [])
         buf.append(flit)
-        self.buffered_flits += 1
         if len(buf) > self.ring_caps[ring]:
             raise SimInvariantError(
                 f"buffer overflow at switch {self._switch(ring, pos)} ring {ring}"
@@ -396,11 +394,10 @@ class _Simulator:
         """Resolve every output port; returns next cycle's arrivals."""
         active: set[tuple[int, int]] = set(forward)
         active.update(self.claims)
-        active.update(k for k, buf in self.buffers.items() if buf)
-        for switch, queue in self.queues.items():
-            if queue:
-                fid, _ = queue[0]
-                active.add((self.flow_ring[fid], self.src_pos[fid]))
+        active.update(self.buffers)
+        for queue in self.queues.values():
+            fid, _ = queue[0]
+            active.add((self.flow_ring[fid], self.src_pos[fid]))
 
         arrivals: dict[tuple[int, int], Flit] = {}
         for ring, pos in active:
@@ -431,9 +428,10 @@ class _Simulator:
 
         buf = self.buffers.get((ring, pos))
         emitted: Flit
-        if buf:
+        if buf is not None:
             emitted = buf.pop(0)
-            self.buffered_flits -= 1
+            if not buf:
+                del self.buffers[(ring, pos)]
             self.flit_hops += 1
             if incoming is not None:
                 self._buffer_put(ring, pos, incoming)
@@ -472,17 +470,18 @@ class _Simulator:
     def _try_inject(self, cycle: int, ring: int, pos: int) -> None:
         switch = self._switch(ring, pos)
         queue = self.queues.get(switch)
-        if not queue:
+        if queue is None:
             return
         fid, seq = queue[0]
         if self.flow_ring[fid] != ring or self.src_pos[fid] != pos:
             return
-        if self.buffers.get((ring, pos)):
+        if (ring, pos) in self.buffers:
             return
         if cycle < self.inj_busy_until.get(switch, 0):
             return
         queue.pop(0)
-        self.queued_packets -= 1
+        if not queue:
+            del self.queues[switch]
         length = self.flow_len[fid]
         self.claims[(ring, pos)] = _Run(fid, seq, 0, length, hops=2)
         self.inj_busy_until[switch] = cycle + length
@@ -492,7 +491,7 @@ class _Simulator:
         # A flit is injected when it first crosses a link and consumed when
         # ejected, discarded, or dropped.  In between it sits on a link
         # (next cycle's arrivals) or in a ring buffer.
-        in_flight = len(arrivals) + self.buffered_flits
+        in_flight = len(arrivals) + sum(map(len, self.buffers.values()))
         if self.injected_flits != self.consumed_flits + in_flight:
             raise SimInvariantError(
                 f"flit conservation broken: {self.injected_flits} injected, "
@@ -517,8 +516,8 @@ class _Simulator:
                 and not self.claims
                 and not self.ejecting
                 and not self.discarding
-                and self.buffered_flits == 0
-                and self.queued_packets == 0
+                and not self.buffers
+                and not self.queues
             ):
                 if ptr >= len(schedule):
                     break
@@ -531,7 +530,6 @@ class _Simulator:
                 self.records[(fid, seq)] = PacketRecord(fid, seq, cycle)
                 src = self.fs.src_switch(fid)
                 self.queues.setdefault(src, []).append((fid, seq))
-                self.queued_packets += 1
                 # Releasing a packet evicts the flow's retained payload.
                 self.last_released[fid] = seq
             forward = self._arrive(cycle, arrivals)

@@ -11,7 +11,7 @@ def perimeter_ring8() -> NetworkTopology:
                  4 5 6 7
     Ring order (clockwise): 0, 1, 2, 3, 7, 6, 5, 4.
     """
-    ring = Ring(ring_id=0, switches=(0, 1, 2, 3, 7, 6, 5, 4), buffer_size=1)
+    ring = Ring(ring_id=0, switches=(0, 1, 2, 3, 7, 6, 5, 4))
     return NetworkTopology(rows=2, cols=4, rings=(ring,))
 
 
@@ -39,7 +39,6 @@ def make_flow(
     deadline: int | None = None,
     length: int = 8,
     jitter: int = 0,
-    ring: int | None = None,
     maxloop: int | None = None,
 ) -> Flow:
     return Flow(
@@ -50,7 +49,6 @@ def make_flow(
         jitter=jitter,
         src=src,
         dst=dst,
-        ring=ring,
         maxloop=maxloop,
     )
 

@@ -105,7 +105,7 @@ def _scan_fixed_point(fs, fid, mode):
                 g.length if mode is BASE or j in sets.upstream
                 else fs.header_len
             )
-            total += g.maxloop * -(-(value + g.jitter) // g.period) * charge
+            total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
         return total
 
     for value in range(1, divergence_cap(fs, fid) + 1):
@@ -202,10 +202,10 @@ def _schedulable_corpus(grid: int, count: int):
             fs = Flowset(top, flows)
         except ModelError:
             continue
-        keys = {(f.ring, fs.dst_switch(f.flow_id)) for f in fs}
+        keys = {(fs.ring_of(f.flow_id).ring_id, fs.dst_switch(f.flow_id)) for f in fs}
         if len(keys) < len(fs):
             continue
-        if any(f.length > len(fs.ring_of(f)) for f in fs):
+        if any(f.length > len(fs.ring_of(f.flow_id)) for f in fs):
             continue
         report = analyze(fs, BASE)
         if not report.schedulable:

@@ -54,7 +54,7 @@ def _scan_idle(fs, fid, mode, jmap=None, hard_cap=HARD_CAP):
                 charge = g.length
             else:
                 charge = fs.header_len
-            total += g.maxloop * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
+            total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
         return total
 
     cap = divergence_cap(fs, fid, hard_cap)
@@ -139,7 +139,7 @@ class TestPreInjectionQueue:
     def test_one_sharer(self):
         top = multi_ring_2x4()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 1, 5, length=8)])
-        assert fs.flow(1).ring == 2
+        assert fs.ring_of(1).ring_id == 2
         assert pre_injection_idle(fs, 1, BASE) == 1
         assert pre_injection_queue(fs, 0, {1: 1}) == 9
 
@@ -152,7 +152,7 @@ class TestPreInjectionQueue:
             make_flow(3, 5, 2, length=4),  # ring 1, crosses switch 1 -> idle(2)=5
         ]
         fs = Flowset(top, flows)
-        assert fs.flow(2).ring == 1 and fs.flow(3).ring == 1
+        assert fs.ring_of(2).ring_id == 1 and fs.ring_of(3).ring_id == 1
         idle = {j: pre_injection_idle(fs, j, BASE) for j in (1, 2)}
         assert idle == {1: 1, 2: 5}
         assert pre_injection_queue(fs, 0, idle) == 18
@@ -205,7 +205,7 @@ class TestResponseTime:
                 ring = fs.ring_of(f.flow_id)
                 assert fa.bound == (
                     fa.no_load
-                    + len(ring) * f.maxloop
+                    + len(ring) * fs.maxloops[f.flow_id]
                     + fa.pre_idle
                     + fa.pre_queue
                     + fa.post_injection

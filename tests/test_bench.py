@@ -72,7 +72,7 @@ class TestGeneration:
             assert 16 <= f.length <= 48
             assert 0 <= f.jitter <= f.period // 2
             assert f.src != f.dst
-            ring = fs.ring_of(f)
+            ring = fs.ring_of(f.flow_id)
             assert fs.src_switch(f.flow_id) in ring
             assert fs.dst_switch(f.flow_id) in ring
 

@@ -3,8 +3,9 @@
 The SHA-256 digests below were recorded from the same commands before the
 flowset index was rewritten (the 4x4/100 case before the analysis passes
 were merged into one driver, the simulation case before the simulator's
-state was rebuilt around one flit-range record).  A change that alters any of these bytes
-changes a result, not just its speed.
+state was rebuilt around one flit-range record, the mixed-budget case before
+flows stopped carrying their derived ring and budget).  A change that alters
+any of these bytes changes a result, not just its speed.
 """
 import hashlib
 import json
@@ -34,7 +35,26 @@ GOLDEN = {
     "trace_proposed.csv": "a229b6b9708bafef089b150c5dd650455afb610e1899fae5e0e132711c34dd39",
     "summary_baseline.csv": "65e8ef62a9bb92ca292d6562cd52e3f474f750bf9d1f45d1fc982ba53ffc5525",
     "summary_proposed.csv": "353e9b2652510154cfadb153683166302ddb99685d3865868f0d36e748a99112",
+    # Hand-written 4x4 flowset whose file fixes some budgets and leaves the
+    # rest to the Oldest-First count (MIXED_FLOWS below).
+    "report_mixed.csv": "57b4078511d52ff9434dae0eb31c5289c1e391512b7197ea98d8d767f50a40e5",
 }
+
+# (id, T, D, L, J, src, dst, maxloop).  Flows 1 and 3 fix a budget below
+# their competitor count (2) and flow 5 one above it; flows 1 and 5 are ring
+# peers of flows 9 and 6, so their budgets reach other flows' bounds too.
+MIXED_FLOWS = (
+    (0, 400, 400, 6, 20, 0, 5, None),
+    (1, 500, 450, 4, 0, 3, 5, 1),
+    (2, 300, 300, 8, 50, 12, 5, None),
+    (3, 600, 600, 5, 10, 15, 10, 0),
+    (4, 450, 400, 3, 0, 1, 10, None),
+    (5, 800, 700, 7, 100, 6, 10, 3),
+    (6, 350, 350, 4, 30, 9, 6, None),
+    (7, 900, 900, 6, 0, 14, 6, 1),
+    (8, 700, 650, 5, 40, 0, 11, None),
+    (9, 250, 250, 2, 0, 7, 5, None),
+)
 
 
 def _sha256(path) -> str:
@@ -84,6 +104,23 @@ def test_diverged_and_missed_report_csv_bytes(tmp_path):
     assert _gen_and_analyze(tmp_path, "4", "100", "2") == (
         GOLDEN["fs_4x4_100.json"], GOLDEN["report_4x4_100.csv"],
     )
+
+
+def test_mixed_budget_flowset_report_csv_bytes(tmp_path):
+    flowset = tmp_path / "fs.json"
+    flowset.write_text(json.dumps({
+        "rows": 4, "cols": 4,
+        "flows": [
+            {"id": i, "T": t, "D": d, "L": length, "J": j, "src": src,
+             "dst": dst, "maxloop": maxloop}
+            for i, t, d, length, j, src, dst, maxloop in MIXED_FLOWS
+        ],
+    }))
+    rc = cli.main([
+        "analyze", str(flowset), "--mode", "both", "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    assert _sha256(tmp_path / "report.csv") == GOLDEN["report_mixed.csv"]
 
 
 def test_simulation_trace_and_summary_bytes(tmp_path):

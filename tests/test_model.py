@@ -219,9 +219,9 @@ class TestMaxloopOldestFirst:
         fs = Flowset(
             top,
             [
-                make_flow(0, 4, 5, ring=0),
-                make_flow(1, 1, 5, ring=1),
-                make_flow(2, 0, 5, ring=2),
+                make_flow(0, 4, 5),
+                make_flow(1, 1, 5),
+                make_flow(2, 0, 5),
             ],
         )
         assert maxloop_oldest_first(fs, 0) == 2
@@ -240,9 +240,9 @@ class TestMaxloopOldestFirst:
             Ring(1, (1, 2, 5, 4)),
         )
         top = NetworkTopology(rows=3, cols=3, rings=rings)
-        fs = Flowset(top, [make_flow(0, 4, 5, ring=0), make_flow(1, 1, 5, ring=1)])
-        assert fs.flow(0).maxloop == 1
-        assert fs.flow(1).maxloop == 1
+        fs = Flowset(top, [make_flow(0, 4, 5), make_flow(1, 1, 5)])
+        assert fs.maxloops[0] == 1
+        assert fs.maxloops[1] == 1
 
 
 class TestFlowsetBuild:
@@ -254,7 +254,7 @@ class TestFlowsetBuild:
         )
         top = NetworkTopology(rows=2, cols=3, rings=rings)
         fs = Flowset(top, [make_flow(0, 0, 3)])
-        assert fs.flow(0).ring == 1
+        assert fs.ring_of(0).ring_id == 1
 
     def test_ring_assignment_tie_breaks_on_lower_id(self):
         rings = (
@@ -263,7 +263,7 @@ class TestFlowsetBuild:
         )
         top = NetworkTopology(rows=2, cols=3, rings=rings)
         fs = Flowset(top, [make_flow(0, 0, 1)])
-        assert fs.flow(0).ring == 0
+        assert fs.ring_of(0).ring_id == 0
 
     def test_buffer_tracks_largest_packet_per_ring(self):
         top = perimeter_ring8()
@@ -276,18 +276,6 @@ class TestFlowsetBuild:
         top = NetworkTopology(rows=1, cols=3, rings=rings)
         with pytest.raises(ModelError, match="no ring connects"):
             Flowset(top, [make_flow(0, 0, 2)])
-
-    def test_explicit_ring_must_contain_endpoints(self):
-        top = perimeter_ring8()
-        with pytest.raises(ModelError, match="does not contain"):
-            Flowset(
-                NetworkTopology(
-                    rows=2,
-                    cols=4,
-                    rings=(top.rings[0], Ring(1, (0, 1, 5, 4))),
-                ),
-                [make_flow(0, 2, 3, ring=1)],
-            )
 
     def test_duplicate_flow_ids_rejected(self):
         top = perimeter_ring8()
@@ -307,12 +295,21 @@ class TestFlowsetBuild:
         with pytest.raises(ModelError, match="header_len"):
             Flowset(top, [make_flow(0, 1, 2, length=1)], header_len=2)
 
+    def test_flows_are_kept_as_given(self):
+        top = perimeter_ring8()
+        flows = [make_flow(0, 1, 7), make_flow(1, 2, 3, maxloop=2)]
+        fs = Flowset(top, flows)
+        assert fs.flows == tuple(flows)
+        assert fs.with_maxloop(1).flows is fs.flows
+
     def test_with_maxloop_overrides_every_flow(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 2, 3)])
         fs2 = fs.with_maxloop(3)
-        assert all(f.maxloop == 3 for f in fs2)
-        assert [f.ring for f in fs2] == [f.ring for f in fs]
+        assert fs2.maxloops == {0: 3, 1: 3}
+        assert [fs2.ring_of(f.flow_id) for f in fs2] == [
+            fs.ring_of(f.flow_id) for f in fs
+        ]
 
 
 @settings(max_examples=50)
@@ -332,35 +329,37 @@ def test_path_endpoints_and_length_on_generated_grids(data):
 def _reference_index(top: NetworkTopology, flows: list[Flow]):
     """Ring choice, Oldest-First counts, paths and interference sets, each
     by a direct scan over every ring or every pair of flows."""
-    assigned = []
+    rings = {}
     for f in flows:
-        ring = f.ring
-        if ring is None:
-            best_len = 0
-            for r in top.rings:
-                if f.src in r and f.dst in r:
-                    plen = len(r.path(f.src, f.dst))
-                    if ring is None or plen < best_len:
-                        ring, best_len = r.ring_id, plen
-        assigned.append(replace(f, ring=ring))
+        ring = best_len = None
+        for r in top.rings:
+            if f.src in r and f.dst in r:
+                plen = len(r.path(f.src, f.dst))
+                if ring is None or plen < best_len:
+                    ring, best_len = r.ring_id, plen
+        rings[f.flow_id] = ring
     competitors = {
         f.flow_id: sum(
             1
-            for g in assigned
-            if g.flow_id != f.flow_id and g.dst == f.dst and g.ring != f.ring
+            for g in flows
+            if g.flow_id != f.flow_id
+            and g.dst == f.dst
+            and rings[g.flow_id] != rings[f.flow_id]
         )
-        for f in assigned
+        for f in flows
     }
-    paths = {f.flow_id: top.rings[f.ring].path(f.src, f.dst) for f in assigned}
+    paths = {
+        f.flow_id: top.rings[rings[f.flow_id]].path(f.src, f.dst) for f in flows
+    }
     sets = {}
-    for f in assigned:
+    for f in flows:
         peers, sharers, upstream, deflected = [], [], [], []
-        for g in assigned:
+        for g in flows:
             if g.flow_id == f.flow_id:
                 continue
             if g.src == f.src:
                 sharers.append(g.flow_id)
-            if g.ring == f.ring:
+            if rings[g.flow_id] == rings[f.flow_id]:
                 peers.append(g.flow_id)
                 if f.src in paths[g.flow_id]:
                     upstream.append(g.flow_id)
@@ -369,13 +368,13 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
         sets[f.flow_id] = InterferenceSets(
             tuple(peers), tuple(sharers), tuple(upstream), tuple(deflected)
         )
-    return assigned, competitors, paths, sets
+    return rings, competitors, paths, sets
 
 
 @st.composite
 def indexed_flowsets(draw):
-    """Flows on a generated grid, with repeated (src, dst) pairs, some
-    explicit rings and some explicit maxloops, ids in shuffled order."""
+    """Flows on a generated grid, with repeated (src, dst) pairs and some
+    explicit maxloops, ids in shuffled order."""
     n = draw(st.integers(2, 7))
     top = generate_rlrec(n, n)
     cores = st.integers(0, n * n - 1)
@@ -391,14 +390,10 @@ def indexed_flowsets(draw):
     flows = []
     for fid in ids:
         src, dst = draw(st.sampled_from(pairs))
-        ring = None
-        if draw(st.booleans()):
-            shared = top.rings_through(src) & top.rings_through(dst)
-            ring = draw(st.sampled_from(sorted(shared)))
         maxloop = draw(st.one_of(st.none(), st.integers(0, 3)))
         flows.append(
             make_flow(fid, src, dst, length=draw(st.integers(1, 96)),
-                      ring=ring, maxloop=maxloop)
+                      maxloop=maxloop)
         )
     return top, flows
 
@@ -409,13 +404,14 @@ class TestFlowsetIndex:
     def test_index_matches_pairwise_scans(self, case):
         top, flows = case
         fs = Flowset(top, flows)
-        assigned, competitors, paths, sets = _reference_index(top, flows)
-        assert [f.ring for f in fs] == [f.ring for f in assigned]
-        for given_flow, f in zip(flows, fs):
-            expected = given_flow.maxloop
+        rings, competitors, paths, sets = _reference_index(top, flows)
+        assert fs.flows == tuple(flows)
+        for f in fs:
+            assert fs.ring_of(f.flow_id).ring_id == rings[f.flow_id]
+            expected = f.maxloop
             if expected is None:
                 expected = competitors[f.flow_id]
-            assert f.maxloop == expected
+            assert fs.maxloops[f.flow_id] == expected
             assert maxloop_oldest_first(fs, f.flow_id) == competitors[f.flow_id]
             assert fs.src_switch(f.flow_id) == f.src
             assert fs.dst_switch(f.flow_id) == f.dst
@@ -429,18 +425,17 @@ class TestFlowsetIndex:
         fs = Flowset(top, flows)
         copy = fs.with_maxloop(k)
         fresh = Flowset(top, [replace(f, maxloop=k) for f in fs.flows])
-        assert copy.flows == fresh.flows
+        assert copy.flows is fs.flows
+        assert copy.maxloops == fresh.maxloops
         assert copy.ring_buffers == fresh.ring_buffers
         for f in fresh:
             fid = f.flow_id
-            assert copy.flow(fid) == f
+            assert copy.ring_of(fid) == fresh.ring_of(fid)
             assert copy.path_of(fid) == fresh.path_of(fid)
             assert copy.interference_sets(fid) == fresh.interference_sets(fid)
             assert maxloop_oldest_first(copy, fid) == maxloop_oldest_first(fresh, fid)
         # The source flowset keeps its own maxloops.
-        assert [f.maxloop for f in fs] == [
-            f.maxloop for f in Flowset(top, flows)
-        ]
+        assert fs.maxloops == Flowset(top, flows).maxloops
 
     @settings(max_examples=40, deadline=None)
     @given(indexed_flowsets(), st.data())

@@ -15,7 +15,14 @@ import rlnoc.cli as cli
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 from rlnoc.analysis import ProtocolMode, analyze
 from rlnoc.files import load_flowset
-from rlnoc.model import Flowset, ModelError, generate_rlrec, maxloop_oldest_first
+from rlnoc.model import (
+    Flowset,
+    ModelError,
+    NetworkTopology,
+    Ring,
+    generate_rlrec,
+    maxloop_oldest_first,
+)
 from rlnoc.sim import (
     Periodic,
     PeriodicWithJitter,
@@ -138,7 +145,7 @@ class TestOldestFirst:
             make_flow(1, 1, 5, length=2),  # ring 2, length == ring length
         ]
         fs = Flowset(top, flows)
-        assert fs.flow(0).ring == 0 and fs.flow(1).ring == 2
+        assert fs.ring_of(0).ring_id == 0 and fs.ring_of(1).ring_id == 2
         base, prop = _both(fs, _Explicit({0: [0], 1: [0]}), 64)
         for trace in (base, prop):
             lat = _latencies(trace)
@@ -341,26 +348,30 @@ class TestBoundFlagging:
 class TestPreconditions:
     def test_packet_longer_than_ring_with_competitor_rejected(self):
         top = multi_ring_2x4()
+        # The perimeter ring plus (1, 5), the only short ring both ways.
+        pair = NetworkTopology(
+            rows=2, cols=4, rings=(top.rings[0], Ring(1, (1, 5)))
+        )
         cases = [
             # Ejection competitor: destination 5 shared from another ring.
-            [
+            (top, [
                 make_flow(0, 6, 5, length=2),
                 make_flow(1, 1, 5, length=3),  # ring 2 has only 2 switches
-            ],
+            ]),
             # Ring peer with a different destination, no shared ejection.
-            [
-                make_flow(0, 1, 5, length=3, ring=2),
-                make_flow(1, 5, 1, length=2, ring=2),
-            ],
+            (pair, [
+                make_flow(0, 1, 5, length=3),
+                make_flow(1, 5, 1, length=2),
+            ]),
         ]
-        for flows in cases:
-            fs = Flowset(top, flows)
+        for topology, flows in cases:
+            fs = Flowset(topology, flows)
             with pytest.raises(ModelError, match="exceeds its ring"):
                 run(fs, BASE, horizon=100)
 
     def test_packet_longer_than_ring_without_competitor_runs(self):
         top = multi_ring_2x4()
-        fs = Flowset(top, [make_flow(0, 1, 5, length=5, ring=2)])
+        fs = Flowset(top, [make_flow(0, 1, 5, length=5)])
         trace = run(fs, BASE, pattern=_Explicit({0: [0]}), horizon=64,
                     protocol_check=True)
         assert _latencies(trace)[(0, 0)] == 7  # C = 2 + 5, never deflected
@@ -431,8 +442,9 @@ def _random_schedulable(seed: int):
         return None
     seen = set()
     for f in fs:
-        key = (f.ring, fs.dst_switch(f.flow_id))
-        if key in seen or f.length > len(fs.ring_of(f)):
+        ring = fs.ring_of(f.flow_id)
+        key = (ring.ring_id, fs.dst_switch(f.flow_id))
+        if key in seen or f.length > len(ring):
             return None
         seen.add(key)
     report = analyze(fs, BASE)
