@@ -8,7 +8,7 @@ share the injection link), and post-injection buffering along the path.
 Two protocol variants differ only in the head-of-queue idle bound: under
 full-packet deflection every loop of a ring peer drags its whole packet past
 the injection switch; under header-only deflection, peers that cross the
-switch only when deflected contribute just their header per loop.
+switch only when deflected contribute just their one header flit per loop.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ class AnalysisReport:
     wall_time: float
 
 
-def divergence_cap(flowset: Flowset, flow_id: int, hard_cap: int = HARD_CAP) -> int:
+def divergence_cap(flowset: Flowset, flow_id: int) -> int:
     """Busy-period size beyond which iteration gives up.
 
     Anything past the deadline already means unschedulable, so the cap only
@@ -73,7 +73,7 @@ def divergence_cap(flowset: Flowset, flow_id: int, hard_cap: int = HARD_CAP) -> 
     """
     peers = flowset.interference_sets(flow_id).ring_peers
     loops = sum(flowset.maxloops[j] for j in peers)
-    return min(hard_cap, flowset.flow(flow_id).period * (1 + loops))
+    return min(HARD_CAP, flowset.flow(flow_id).period * (1 + loops))
 
 
 def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
@@ -83,7 +83,7 @@ def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
     weight * ceil((I + release jitter + interference jitter) / period).
     Upstream peers cross the injection switch once per packet plus once per
     loop; the rest cross it only while looping, paying full length under
-    full-packet deflection but only the header under header-only deflection.
+    full-packet deflection but one header flit under header-only deflection.
     """
     sets = flowset.interference_sets(flow_id)
     loops = flowset.maxloops
@@ -95,7 +95,7 @@ def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
         if loops[fid] == 0:
             continue
         g = flowset.flow(fid)
-        charge = g.length if mode is ProtocolMode.BASELINE else flowset.header_len
+        charge = g.length if mode is ProtocolMode.BASELINE else 1
         terms.append((fid, loops[fid] * charge, g.period, g.jitter))
     return terms
 

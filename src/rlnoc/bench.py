@@ -44,6 +44,15 @@ class SweepConfig:
         def bad(field: str, why: str) -> ValueError:
             return ValueError(f"config field {field!r} {why}")
 
+        def integral(value: object) -> bool:
+            if isinstance(value, tuple):
+                return all(integral(v) for v in value)
+            return type(value) is int  # a bool is not a count
+
+        # A field whose default holds only integers takes only integers.
+        for f in fields(self):
+            if integral(f.default) and not integral(getattr(self, f.name)):
+                raise bad(f.name, "must hold only integers")
         if not self.grids or any(g < 2 for g in self.grids):
             raise bad("grids", "must list grid sizes >= 2")
         if self.flows_start < 1 or self.flows_end < self.flows_start:

@@ -103,19 +103,6 @@ class NetworkTopology:
     def rings_through(self, switch: SwitchId) -> frozenset[RingId]:
         return self._sharing[switch]  # type: ignore[attr-defined]
 
-    def is_fully_connected(self) -> bool:
-        """True when every ordered pair of distinct switches shares a ring."""
-        n = self.n_switches
-        covered = [[False] * n for _ in range(n)]
-        for ring in self.rings:
-            for a in ring.switches:
-                row = covered[a]
-                for b in ring.switches:
-                    row[b] = True
-        return all(
-            covered[a][b] for a in range(n) for b in range(n) if a != b
-        )
-
 
 def _perimeter(r0: int, c0: int, r1: int, c1: int, cols: int) -> tuple[SwitchId, ...]:
     # Clockwise walk of the rectangle boundary; needs r1 > r0 and c1 > c0.
@@ -250,22 +237,14 @@ class Flowset:
         self,
         topology: NetworkTopology,
         flows: Sequence[Flow],
-        header_len: int = 1,
     ) -> None:
-        if header_len < 1:
-            raise ModelError("header_len must be >= 1")
         self.topology = topology
-        self.header_len = header_len
         self.flows: tuple[Flow, ...] = tuple(flows)
         self._by_id: dict[int, Flow] = {}
         for f in self.flows:
             if f.flow_id in self._by_id:
                 raise ModelError(f"duplicate flow id {f.flow_id}")
             self._by_id[f.flow_id] = f
-            if f.length < header_len:
-                raise ModelError(
-                    f"flow {f.flow_id}: length {f.length} below header_len {header_len}"
-                )
 
         buffers = {r.ring_id: 1 for r in topology.rings}
         # flow id -> (ring, source switch, destination switch, their ring positions)
@@ -347,6 +326,8 @@ class Flowset:
         The copy shares this flowset's flows, index, buffers, paths and
         interference sets; only its ``maxloops`` differ.
         """
+        if maxloop < 0:
+            raise ModelError("maxloop must be >= 0")
         budgeted = copy.copy(self)
         budgeted.maxloops = dict.fromkeys(self.maxloops, maxloop)
         return budgeted

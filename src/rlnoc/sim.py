@@ -7,8 +7,8 @@ absorbed when the switch is discarding that packet's payload, and otherwise
 forwarded, through the ring packet buffer whenever the output port is held
 by an injection or the buffer is draining.
 
-Packets are (flow_id, seq) pairs; a flit is the tuple (flow_id, seq, idx)
-with idx < header_len marking header flits.  Deflection behavior is the only
+Packets are (flow_id, seq) pairs; a flit is the tuple (flow_id, seq, idx),
+and flit 0 is the packet's one header flit.  Deflection behavior is the only
 difference between the two protocol modes: full-packet deflection lets the
 whole packet loop the ring, header-only deflection loops just the header,
 absorbs the payload at the destination, and streams the retained payload
@@ -16,11 +16,11 @@ copy behind the returning header at the origin switch.  The retained stream
 claims only the ring output port, never the core's injection link.
 
 Every in-order flit range the switches take is one record, ``_Run``: an
-ejection, a payload discard, a dropped header, an injection and a
-re-injection alike.  Retention and arming are derived, not stored: the origin
-still holds a deflected packet's payload exactly when no newer packet of its
-flow has been released, and a flagged header leaving its origin switch was
-armed there, since a header whose payload was evicted is dropped on arrival.
+ejection, a payload discard, an injection and a re-injection alike.
+Retention and arming are derived, not stored: the origin still holds a
+deflected packet's payload exactly when no newer packet of its flow has been
+released, and a flagged header leaving its origin switch was armed there,
+since a header whose payload was evicted is dropped on arrival.
 
 Ejection arbitration is Oldest-First on injection timestamps, realized with
 reservations: a deflected packet leaves a pending entry at its destination,
@@ -185,25 +185,22 @@ def default_horizon(flowset: Flowset) -> int:
 class _Run:
     """Flits ``next_idx..end-1`` of one packet, taken in index order.
 
-    A run absorbed at a switch is an ejection ``(1, L)``, a payload discard
-    after a header-only deflection ``(H, L)`` or a dropped header's tail
-    ``(1, H)``.  A run claiming an output port is an injection ``(0, L)``,
-    each flit crossing the injection link and a ring link (``hops=2``), or
-    a re-injection ``(H, L)`` of the retained payload, which first lets the
-    ``skip`` header flits still behind the returning header pass through.
+    A run absorbed at a switch is an ejection ``(1, L)`` or a payload discard
+    after a header-only deflection ``(1, L)``.  A run claiming an output
+    port is an injection ``(0, L)``, each flit crossing the injection link
+    and a ring link (``hops=2``), or a re-injection ``(1, L)`` of the
+    retained payload right behind the returning header.
     """
 
-    __slots__ = ("flow_id", "seq", "next_idx", "end", "skip", "hops")
+    __slots__ = ("flow_id", "seq", "next_idx", "end", "hops")
 
     def __init__(
-        self, flow_id: int, seq: int, next_idx: int, end: int,
-        skip: int = 0, hops: int = 1,
+        self, flow_id: int, seq: int, next_idx: int, end: int, hops: int = 1
     ) -> None:
         self.flow_id = flow_id
         self.seq = seq
         self.next_idx = next_idx
         self.end = end
-        self.skip = skip
         self.hops = hops
 
 
@@ -227,7 +224,6 @@ class _Simulator:
         self.flow_len: dict[int, int] = {}
         self.src_pos: dict[int, int] = {}
         self.dst_switch: dict[int, int] = {}
-        self.header_len = flowset.header_len
         for f in flowset:
             fid = f.flow_id
             ring = flowset.ring_of(fid)
@@ -296,20 +292,18 @@ class _Simulator:
         switch = self._switch(ring, pos)
         self.pending.setdefault(switch, {})[(fid, seq)] = self._key(fid, seq)
         length = self.flow_len[fid]
-        if self.mode is ProtocolMode.PROPOSED and length > self.header_len:
+        if self.mode is ProtocolMode.PROPOSED and length > 1:
             self.flagged.add((fid, seq))
             # Absorb the payload flits trailing the header as they arrive.
-            self.discarding[(ring, pos)] = _Run(fid, seq, self.header_len, length)
+            self.discarding[(ring, pos)] = _Run(fid, seq, 1, length)
 
     def _drop(self, ring: int, pos: int, flit: Flit) -> None:
-        """Retention gone: absorb the whole returning header, clear state."""
+        """Retention gone: absorb the returning header, clear state."""
         fid, seq, _ = flit
         rec = self.records[(fid, seq)]
         rec.dropped = True
         self.retention_violations += 1
         self.consumed_flits += 1
-        if self.header_len > 1:
-            self.discarding[(ring, pos)] = _Run(fid, seq, 1, self.header_len)
         self.flagged.discard((fid, seq))
         dst = self.dst_switch[fid]
         pend = self.pending.get(dst)
@@ -415,7 +409,7 @@ class _Simulator:
         self, cycle: int, ring: int, pos: int, incoming: Flit | None
     ) -> Flit | None:
         claim = self.claims.get((ring, pos))
-        if claim is not None and claim.skip == 0:
+        if claim is not None:
             flit = (claim.flow_id, claim.seq, claim.next_idx)
             claim.next_idx += 1
             self.flit_hops += claim.hops
@@ -439,21 +433,8 @@ class _Simulator:
             emitted = incoming
             self.flit_hops += 1
         else:
-            if claim is not None:
-                raise SimInvariantError(
-                    f"re-injection header flit missing at ring {ring} pos {pos}"
-                )
             self._try_inject(cycle, ring, pos)
             return None
-
-        if claim is not None:
-            expect = (claim.flow_id, claim.seq, claim.next_idx - claim.skip)
-            if emitted != expect:
-                raise SimInvariantError(
-                    f"re-injection header broken: expected {expect}, got {emitted}"
-                )
-            claim.skip -= 1
-            return emitted
 
         fid, seq, idx = emitted
         # A flagged header reaches its origin's output only when the payload
@@ -461,10 +442,7 @@ class _Simulator:
         if idx == 0 and pos == self.src_pos[fid] and (fid, seq) in self.flagged:
             self.flagged.remove((fid, seq))
             # The retained payload streams out right behind this header.
-            self.claims[(ring, pos)] = _Run(
-                fid, seq, self.header_len, self.flow_len[fid],
-                skip=self.header_len - 1,
-            )
+            self.claims[(ring, pos)] = _Run(fid, seq, 1, self.flow_len[fid])
         return emitted
 
     def _try_inject(self, cycle: int, ring: int, pos: int) -> None:

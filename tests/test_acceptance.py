@@ -59,7 +59,7 @@ def test_1_analytic_dominance():
             assert fp.bound <= fb.bound, (fb.flow_id, budget)
             sets = fs.interference_sets(fb.flow_id)
             wide_deflector = any(
-                fs.flow(j).length > fs.header_len for j in sets.deflected_only
+                fs.flow(j).length > 1 for j in sets.deflected_only
             )
             if budget >= 1 and wide_deflector:
                 assert fp.bound < fb.bound, (fb.flow_id, budget)
@@ -101,10 +101,7 @@ def _scan_fixed_point(fs, fid, mode):
             total += -(-(value + g.jitter) // g.period) * g.length
         for j in sets.ring_peers:
             g = fs.flow(j)
-            charge = (
-                g.length if mode is BASE or j in sets.upstream
-                else fs.header_len
-            )
+            charge = g.length if mode is BASE or j in sets.upstream else 1
             total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
         return total
 
@@ -344,7 +341,7 @@ def test_8_traffic_reduction():
         base = run(fs, BASE, pattern=Synchronous(), horizon=50_000)
         prop = run(fs, PROP, pattern=Synchronous(), horizon=50_000)
         wide_deflected = any(
-            r.deflections > 0 and fs.flow(r.flow_id).length > fs.header_len
+            r.deflections > 0 and fs.flow(r.flow_id).length > 1
             for r in prop.records
         )
         if wide_deflected:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import rlnoc.analysis
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 from rlnoc.analysis import (
-    HARD_CAP,
     AnalysisReport,
     ProtocolMode,
     analyze,
@@ -38,7 +37,7 @@ def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _scan_idle(fs, fid, mode, jmap=None, hard_cap=HARD_CAP):
+def _scan_idle(fs, fid, mode, jmap=None):
     """Least fixed point of the head-of-queue busy period, by linear scan."""
     sets = fs.interference_sets(fid)
     jmap = jmap or {}
@@ -50,14 +49,11 @@ def _scan_idle(fs, fid, mode, jmap=None, hard_cap=HARD_CAP):
             total += _ceil(value + g.jitter + jmap.get(j, 0), g.period) * g.length
         for j in sets.ring_peers:
             g = fs.flow(j)
-            if mode is BASE or j in sets.upstream:
-                charge = g.length
-            else:
-                charge = fs.header_len
+            charge = g.length if mode is BASE or j in sets.upstream else 1
             total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
         return total
 
-    cap = divergence_cap(fs, fid, hard_cap)
+    cap = divergence_cap(fs, fid)
     for value in range(1, cap + 1):
         if rhs(value) == value:
             return value
@@ -324,10 +320,10 @@ class TestAnalyze:
                 src, dst = rng.sample(range(16), 2)
                 period = rng.randint(100, 3000)
                 flows.append(
-                    make_flow(i, src, dst, period=period, length=4,
+                    make_flow(i, src, dst, period=period, length=1,
                               jitter=rng.randint(0, 50), maxloop=rng.randint(0, 3))
                 )
-            fs = Flowset(top, flows, header_len=4)
+            fs = Flowset(top, flows)
             assert analyze(fs, BASE).flows == analyze(fs, PROP).flows
 
     def test_adding_a_flow_never_lowers_existing_bounds(self):
@@ -436,10 +432,11 @@ class TestDivergenceCap:
     def test_cap_scales_with_peer_deflections(self):
         fs = _deflecting_pair()
         # Flow 0: period 1000, one ring peer with maxloop=1.
-        assert divergence_cap(fs, 0, HARD_CAP) == 2000
+        assert divergence_cap(fs, 0) == 2000
         # Flow 1: peer flow 0 has maxloop 0.
-        assert divergence_cap(fs, 1, HARD_CAP) == 1000
+        assert divergence_cap(fs, 1) == 1000
 
-    def test_hard_cap_wins_when_smaller(self):
+    def test_hard_cap_wins_when_smaller(self, monkeypatch):
         fs = _deflecting_pair()
-        assert divergence_cap(fs, 0, 500) == 500
+        monkeypatch.setattr(rlnoc.analysis, "HARD_CAP", 500)
+        assert divergence_cap(fs, 0) == 500

@@ -81,6 +81,16 @@ class TestGenCommands:
         ])
         assert set(load_flowset(str(out)).maxloops.values()) == {2}
 
+    def test_gen_flowset_negative_maxloop_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "fs.json"
+        rc = cli.main([
+            "gen-flowset", "--grid", "4", "--flows", "5",
+            "--maxloop", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "maxloop" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "fs.json"
         rc = cli.main([
@@ -242,6 +252,22 @@ class TestSweepCommand:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "grid_sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("grids", [4.5]),
+        ("flowsets_per_point", 1.5),
+        ("maxloops", [True]),
+        ("packet_ranges", [[16.0, 32]]),
+    ])
+    def test_non_integer_config_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [4], "flows_start": 4,
+                                   "flows_end": 4, field: value}))
+        rc = cli.main(["sweep", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestImproveCommand:
