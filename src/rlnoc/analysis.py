@@ -183,7 +183,14 @@ class _Pass:
     converged: bool
 
 
-def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
+def _bound(base: int, idle: int | None, queue: int | None) -> int | None:
+    """The bound: the interference-free part plus the idle and queue waits."""
+    return None if idle is None or queue is None else base + idle + queue
+
+
+def _passes(
+    flowset: Flowset, mode: ProtocolMode, first: tuple[dict, dict] | None = None
+) -> Iterator[_Pass]:
     """Outer passes resolving interference jitter, one state per pass.
 
     Interference jitter of each flow is its bound minus its no-load latency
@@ -191,6 +198,7 @@ def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
     is unchanged, or ``MAX_PASSES`` have run.  Diverged flows keep a None
     bound, which forces every flow depending on them to None as well, and
     never recover (passes are monotone), so the fixed point is reached.
+    ``first`` holds idle waits and steps already known for pass 1.
     """
     flows = [
         (f.flow_id, _terms(flowset, f.flow_id, mode), divergence_cap(flowset, f.flow_id))
@@ -201,16 +209,16 @@ def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
     jmap: dict[int, int | None] = {fid: 0 for fid in fixed}
     prev: dict[int, int | None] | None = None
     for _ in range(MAX_PASSES):
-        idle: dict[int, int | None] = {}
-        steps: dict[int, int] = {}
+        idle, steps = first or ({}, {})
+        first = None
         for fid, terms, cap in flows:
-            idle[fid], steps[fid] = _idle(terms, jmap, cap)
+            if fid not in idle:
+                idle[fid], steps[fid] = _idle(terms, jmap, cap)
         queue: dict[int, int | None] = {}
         bounds: dict[int, int | None] = {}
         for fid, base in fixed.items():
-            queue[fid] = wait = pre_injection_queue(flowset, fid, idle)
-            own = idle[fid]
-            bounds[fid] = None if own is None or wait is None else base + own + wait
+            queue[fid] = pre_injection_queue(flowset, fid, idle)
+            bounds[fid] = _bound(base, idle[fid], queue[fid])
         converged = bounds == prev
         yield _Pass(jmap, idle, steps, queue, bounds, converged)
         if converged:
@@ -285,15 +293,32 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     Sound because bounds rise monotonically across passes: one flow over its
     deadline in any pass stays over it at the fixed point.  A constant-time
     floor (idle wait of 1, one packet plus one idle cycle per sharer) screens
-    flows before any iteration.
+    every flow; then pass 1's bounds are computed flow by flow, least floor
+    slack first, up to the first miss.  Every jitter is 0 in pass 1, so each
+    idle wait depends on its own flow alone and is computed once: these are
+    the bounds of pass 1 of ``_passes``, and their order cannot change the verdict.
     """
+    fixed: dict[int, int] = {}
+    slack: dict[int, int] = {}
     for f in flowset:
-        floor = _fixed(flowset, f.flow_id) + 1
-        for fid in flowset.interference_sets(f.flow_id).injection_sharers:
+        fixed[f.flow_id] = _fixed(flowset, f.flow_id)
+        floor = fixed[f.flow_id] + 1
+        for fid in flowset.injection_sharers(f.flow_id):
             floor += flowset.flow(fid).length + 1
         if floor > f.deadline:
             return False
-    for state in _passes(flowset, mode):
+        slack[f.flow_id] = f.deadline - floor
+    idle: dict[int, int | None] = {}
+    steps: dict[int, int] = {}
+    for fid in sorted(slack, key=slack.__getitem__):  # ties keep flow order
+        for g in (fid, *flowset.injection_sharers(fid)):
+            if g not in idle:
+                terms, cap = _terms(flowset, g, mode), divergence_cap(flowset, g)
+                idle[g], steps[g] = _idle(terms, {}, cap)
+        b = _bound(fixed[fid], idle[fid], pre_injection_queue(flowset, fid, idle))
+        if b is None or b > flowset.flow(fid).deadline:
+            return False
+    for state in _passes(flowset, mode, (idle, steps)):
         for f in flowset:
             b = state.bounds[f.flow_id]
             if b is None or b > f.deadline:

@@ -17,7 +17,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from statistics import fmean
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 from .analysis import ProtocolMode, analyze, quick_verdict
 from .model import Flow, Flowset, ModelError, NetworkTopology, generate_rlrec
@@ -44,15 +44,20 @@ class SweepConfig:
         def bad(field: str, why: str) -> ValueError:
             return ValueError(f"config field {field!r} {why}")
 
-        def integral(value: object) -> bool:
-            if isinstance(value, tuple):
-                return all(integral(v) for v in value)
-            return type(value) is int  # a bool is not a count
+        def fits(value: object, hint: object) -> bool:
+            args = get_args(hint)
+            if get_origin(hint) is tuple:
+                if args[-1] is Ellipsis and isinstance(value, tuple):
+                    args = args[:1] * len(value)
+                return (isinstance(value, tuple) and len(value) == len(args)
+                        and all(map(fits, value, args)))
+            # A bool is not a number.
+            return type(value) in ((int, float) if hint is float else (hint,))
 
-        # A field whose default holds only integers takes only integers.
+        # The seed only names draws, so any value will do.
         for f in fields(self):
-            if integral(f.default) and not integral(getattr(self, f.name)):
-                raise bad(f.name, "must hold only integers")
+            if f.name != "seed" and not fits(getattr(self, f.name), _HINTS[f.name]):
+                raise bad(f.name, f"must be of type {f.type}")
         if not self.grids or any(g < 2 for g in self.grids):
             raise bad("grids", "must list grid sizes >= 2")
         if self.flows_start < 1 or self.flows_end < self.flows_start:
@@ -109,6 +114,9 @@ class SweepConfig:
                     yield grid, prange, n_flows
 
 
+_HINTS = get_type_hints(SweepConfig)  # resolved once, not per config
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     grid: int
@@ -163,7 +171,8 @@ def generate_flowset(
 
 
 def _evaluate_point(
-    config: SweepConfig, grid: int, prange: tuple[int, int], n_flows: int
+    config: SweepConfig, topology: NetworkTopology, prange: tuple[int, int],
+    n_flows: int,
 ) -> list[SweepPoint]:
     """All (maxloop, mode) counts for one sweep point.
 
@@ -173,7 +182,7 @@ def _evaluate_point(
     flowset unschedulable at one budget stays so at larger ones; at budget 0
     the protocols produce identical bounds.
     """
-    topology = generate_rlrec(grid, grid)
+    grid = topology.rows
     budgets = tuple(sorted(config.maxloops))
     counts = {(k, mode): 0 for k in budgets for mode in _MODES}
     for i in range(config.flowsets_per_point):
@@ -212,22 +221,20 @@ def _evaluate_point(
     ]
 
 
-def _point_task(
-    args: tuple[SweepConfig, int, tuple[int, int], int]
-) -> list[SweepPoint]:
-    return _evaluate_point(*args)
-
-
 def schedulability_sweep(
     config: SweepConfig, jobs: int = 1
 ) -> list[SweepPoint]:
-    """Evaluate every configured point; rows come back in ``points`` order."""
-    tasks = [(config, g, p, n) for g, p, n in config.points()]
+    """Evaluate every configured point; rows come back in ``points`` order.
+
+    Each grid's topology, with its route table, is built once per call.
+    """
+    topologies = {g: generate_rlrec(g, g) for g in config.grids}
+    tasks = [(config, topologies[g], p, n) for g, p, n in config.points()]
     if jobs <= 1:
-        results = [_point_task(t) for t in tasks]
+        results = [_evaluate_point(*t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_point_task, tasks))
+            results = list(pool.map(_evaluate_point, *zip(*tasks)))
     return [point for chunk in results for point in chunk]
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 CoreId = int
 SwitchId = int
 RingId = int
+Route = tuple[RingId, int, int, tuple[SwitchId, ...]]
 
 
 class ModelError(ValueError):
@@ -90,6 +91,7 @@ class NetworkTopology:
         for s in range(n):
             sharing[s] = frozenset(r.ring_id for r in self.rings if s in r)
         object.__setattr__(self, "_sharing", sharing)
+        object.__setattr__(self, "_routes", {})
 
     @property
     def n_switches(self) -> int:
@@ -102,6 +104,23 @@ class NetworkTopology:
 
     def rings_through(self, switch: SwitchId) -> frozenset[RingId]:
         return self._sharing[switch]  # type: ignore[attr-defined]
+
+    def route(self, src: SwitchId, dst: SwitchId) -> Route | None:
+        """(ring, src position, dst position, path) on the ring with fewest hops
+        from src to dst, lower ring id first, or None if no ring passes both.
+        Kept per pair: every flowset built on this topology shares the table."""
+        routes = self._routes  # type: ignore[attr-defined]
+        if (src, dst) not in routes:
+            shared = self.rings_through(src) & self.rings_through(dst)
+            best = min(
+                (self.rings[r] for r in shared),
+                key=lambda r: ((r.position(dst) - r.position(src)) % len(r), r.ring_id),
+                default=None,
+            )
+            routes[src, dst] = None if best is None else (
+                best.ring_id, best.position(src), best.position(dst),
+                best.path(src, dst))
+        return routes[src, dst]
 
 
 def _perimeter(r0: int, c0: int, r1: int, c1: int, cols: int) -> tuple[SwitchId, ...]:
@@ -222,15 +241,15 @@ class Flowset:
 
     ``flows`` holds the given ``Flow`` objects unchanged; everything derived
     from them lives here.  Construction builds an index of the flows in one
-    pass: each flow's ring (fewest hops), its switches and their positions
-    on that ring, flows bucketed by source switch and by ring, per-ring
-    buffer sizes (the largest packet on each ring), and the Oldest-First
-    competitor count of each flow.  ``maxloops`` maps each flow id to its
-    effective deflection budget: the flow's own ``maxloop`` when the input
-    fixes one, its competitor count otherwise.  Interference sets are read
-    from the buckets on first use and cached.  None of this but ``maxloops``
-    depends on the budget, so the copies made by ``with_maxloop`` share all
-    of it.
+    pass: each flow's ring, its switches and their positions on that ring
+    (read from the topology's route table), flows bucketed by source switch
+    and by ring, per-ring buffer sizes (the largest packet on each ring),
+    and the Oldest-First competitor count of each flow.  ``maxloops`` maps
+    each flow id to its effective deflection budget: the flow's own
+    ``maxloop`` when the input fixes one, its competitor count otherwise.
+    Interference sets are read from the buckets on first use and cached.
+    None of this but ``maxloops`` depends on the budget, so the copies made
+    by ``with_maxloop`` share all of it.
     """
 
     def __init__(
@@ -257,12 +276,12 @@ class Flowset:
         for f in self.flows:
             src = topology.switch_of_core(f.src)
             dst = topology.switch_of_core(f.dst)
-            ring_id = self._shortest_ring(f, src, dst)
-            ring = topology.rings[ring_id]
-            self._place[f.flow_id] = (
-                ring_id, src, dst, ring.position(src), ring.position(dst)
-            )
-            self._paths[f.flow_id] = ring.path(src, dst)
+            route = topology.route(src, dst)
+            if route is None:
+                raise ModelError(f"flow {f.flow_id}: no ring connects cores "
+                                 f"{f.src} and {f.dst}")
+            ring_id, i, j, self._paths[f.flow_id] = route
+            self._place[f.flow_id] = (ring_id, src, dst, i, j)
             self._by_src.setdefault(src, []).append(f.flow_id)
             self._by_ring.setdefault(ring_id, []).append(f.flow_id)
             at_dst[dst] = at_dst.get(dst, 0) + 1
@@ -280,21 +299,6 @@ class Flowset:
             self._competitors[f.flow_id] = count
             self.maxloops[f.flow_id] = count if f.maxloop is None else f.maxloop
         self._interference: dict[int, InterferenceSets] = {}
-
-    def _shortest_ring(self, flow: Flow, src: SwitchId, dst: SwitchId) -> RingId:
-        # Fewest hops from src to dst; the lower ring id wins a tie.
-        top = self.topology
-        shared = (top.rings[r] for r in top.rings_through(src) & top.rings_through(dst))
-        candidates = [
-            ((ring.position(dst) - ring.position(src)) % len(ring), ring.ring_id)
-            for ring in shared
-        ]
-        if not candidates:
-            raise ModelError(
-                f"flow {flow.flow_id}: no ring connects cores {flow.src} "
-                f"and {flow.dst}"
-            )
-        return min(candidates)[1]
 
     def __iter__(self):
         return iter(self.flows)
@@ -320,6 +324,10 @@ class Flowset:
     def dst_switch(self, flow_id: int) -> SwitchId:
         return self._place[flow_id][2]
 
+    def injection_sharers(self, flow_id: int) -> tuple[int, ...]:
+        """The other flows injected at the flow's source switch."""
+        return tuple(g for g in self._by_src[self._place[flow_id][1]] if g != flow_id)
+
     def with_maxloop(self, maxloop: int) -> "Flowset":
         """Copy of this flowset with one maxloop value for every flow.
 
@@ -336,7 +344,7 @@ class Flowset:
         cached = self._interference.get(flow_id)
         if cached is not None:
             return cached
-        ring, src, _, p, _ = self._place[flow_id]
+        ring, _, _, p, _ = self._place[flow_id]
         n = len(self.topology.rings[ring])
         peers, upstream, deflected = [], [], []
         for g in self._by_ring[ring]:
@@ -351,7 +359,7 @@ class Flowset:
                 deflected.append(g)
         sets = InterferenceSets(
             ring_peers=tuple(peers),
-            injection_sharers=tuple(g for g in self._by_src[src] if g != flow_id),
+            injection_sharers=self.injection_sharers(flow_id),
             upstream=tuple(upstream),
             deflected_only=tuple(deflected),
         )

@@ -27,7 +27,7 @@ from rlnoc.analysis import (
     response_time,
 )
 from rlnoc.bench import SweepConfig, generate_flowset
-from rlnoc.model import Flowset, NetworkTopology, Ring, generate_rlrec
+from rlnoc.model import Flowset, NetworkTopology, Ring, generate_rlrec, no_load_latency
 
 BASE = ProtocolMode.BASELINE
 PROP = ProtocolMode.PROPOSED
@@ -251,6 +251,34 @@ def _random_flowset(rng: random.Random, n_flows: int = 8, maxloop=None) -> Flows
     return Flowset(top, flows)
 
 
+def _sweep_sized_draws():
+    """Seeded sweep flowsets: 20-120 flows on 4x4 and 5x5, budgets 0-3.
+
+    The shipped configuration, then one with 1 us periods, whose load can
+    push a switch's idle wait past its divergence cap.
+    """
+    tops = {g: generate_rlrec(g, g) for g in (4, 5)}
+    for label, cfg, count in (
+        ("shipped", SweepConfig(), 25),
+        ("short", SweepConfig(period_us=(1, 1)), 30),
+    ):
+        for i in range(count):
+            rng = random.Random(f"{label}:{i}")
+            grid = rng.choice((4, 5))
+            n_flows = rng.randint(20, 120)
+            prange = rng.choice(cfg.packet_ranges)
+            fs = generate_flowset(cfg, tops[grid], n_flows, prange, rng)
+            yield fs.with_maxloop(rng.randint(0, 3))
+
+
+def _floor(fs: Flowset, fid: int) -> int:
+    """The bound with every idle wait at its least value, 1."""
+    own = no_load_latency(fs, fid) + len(fs.ring_of(fid)) * fs.maxloops[fid]
+    sharers = fs.interference_sets(fid).injection_sharers
+    return (own + post_injection(fs, fid) + 1
+            + sum(fs.flow(g).length + 1 for g in sharers))
+
+
 def _bounds(report: AnalysisReport) -> dict[int, int | None]:
     return {fa.flow_id: fa.bound for fa in report.flows}
 
@@ -375,12 +403,32 @@ class TestAnalyze:
             assert not fa.converged and not fa.schedulable
         assert quick_verdict(fs, BASE) is False
 
-    def test_quick_verdict_agrees_with_full_analysis(self):
+    def test_quick_verdict_agrees_with_full_analysis(self, monkeypatch):
         rng = random.Random("quick")
         for trial in range(30):
             fs = _random_flowset(rng, n_flows=rng.randint(2, 14))
             for mode in (BASE, PROP):
                 assert quick_verdict(fs, mode) == analyze(fs, mode).schedulable
+        seen = set()
+        for fs in _sweep_sized_draws():
+            for mode in (BASE, PROP):
+                full = analyze(fs, mode)
+                assert quick_verdict(fs, mode) == full.schedulable
+                with monkeypatch.context() as m:
+                    m.setattr(rlnoc.analysis, "MAX_PASSES", 1)
+                    first = analyze(fs, mode).flows
+                if any(_floor(fs, f.flow_id) > f.deadline for f in fs):
+                    seen.add("floor")
+                    continue
+                if any(fa.pre_idle is not None and fa.pre_queue is None for fa in first):
+                    seen.add("sharer diverged")
+                if full.schedulable:
+                    seen.add("accept")
+                elif any(fa.bound is None or fa.bound > fa.deadline for fa in first):
+                    seen.add("pass 1")
+                else:
+                    seen.add("later pass")
+        assert seen == {"floor", "pass 1", "later pass", "accept", "sharer diverged"}
 
 
 @st.composite

@@ -6,9 +6,11 @@ with full ``analyze`` runs and no shortcuts, so any bias they introduced
 would show up as a count mismatch.
 """
 import random
+from dataclasses import replace
 
 import pytest
 
+import rlnoc.bench
 from rlnoc.analysis import ProtocolMode, analyze
 from rlnoc.bench import (
     ImprovementReport,
@@ -168,6 +170,20 @@ class TestSweep:
 
     def test_parallel_merge_matches_serial(self, result):
         assert schedulability_sweep(TINY, jobs=2) == result
+
+    def test_topology_built_once_per_grid_per_call(self, monkeypatch):
+        cfg = replace(TINY, grids=(4, 5), flowsets_per_point=1)
+        built = []
+
+        def counting(rows, cols):
+            built.append(rows)
+            return generate_rlrec(rows, cols)
+
+        monkeypatch.setattr(rlnoc.bench, "generate_rlrec", counting)
+        for _ in range(2):
+            built.clear()
+            schedulability_sweep(cfg)
+            assert len(built) == len(cfg.grids)
 
 
 def _uniform_traffic(n_pairs, length=32, maxloop=None):

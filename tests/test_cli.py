@@ -269,6 +269,22 @@ class TestSweepCommand:
         assert repr(field) in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("deadline_fraction", "x"),
+        ("period_us", [1]),
+        ("packet_ranges", [[1]]),
+        ("jitter_fraction", [True, True]),
+    ])
+    def test_malformed_float_or_range_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [4], "flows_start": 4,
+                                   "flows_end": 4, field: value}))
+        rc = cli.main(["sweep", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"config field {field!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestImproveCommand:
     def test_shipped_traffic_default(self, tmp_path, capsys):

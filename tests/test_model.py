@@ -264,6 +264,30 @@ class TestFlowsetBuild:
         fs = Flowset(top, [make_flow(0, 0, 1)])
         assert fs.ring_of(0).ring_id == 0
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_route_table_matches_brute_force(self, n):
+        top = generate_rlrec(n, n)
+        pairs = [(s, d) for s in range(n * n) for d in range(n * n) if s != d]
+        fs = Flowset(top, [make_flow(i, s, d) for i, (s, d) in enumerate(pairs)])
+        for i, (s, d) in enumerate(pairs):
+            walks = {r.ring_id: _walk(r, s, d)
+                     for r in top.rings if s in r.switches and d in r.switches}
+            ring = min(walks, key=lambda r: (len(walks[r]), r))
+            switches = top.rings[ring].switches
+            assert fs.ring_of(i).ring_id == ring
+            assert fs.path_of(i) == walks[ring]
+            assert top.route(s, d) == (
+                ring, switches.index(s), switches.index(d), walks[ring]
+            )
+
+    def test_unconnected_pair_names_the_flow(self):
+        top = NetworkTopology(rows=2, cols=4, rings=(
+            Ring(0, (0, 1, 2, 3)), Ring(1, (4, 5, 6, 7)),
+        ))
+        assert top.route(1, 6) is None
+        with pytest.raises(ModelError, match="flow 7: no ring connects cores 1 and 6"):
+            Flowset(top, [make_flow(3, 0, 2), make_flow(7, 1, 6)])
+
     def test_buffer_tracks_largest_packet_per_ring(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 2, 3, length=5)])
