@@ -100,6 +100,11 @@ def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
     return terms
 
 
+def _inputs(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> tuple[list[Term], int]:
+    """The flow's idle-bound terms and its divergence cap."""
+    return _terms(flowset, flow_id, mode), divergence_cap(flowset, flow_id)
+
+
 def _idle(terms: list[Term], jmap: JitterMap, cap: int) -> tuple[int | None, int]:
     """Least fixed point of the idle bound by ascending iteration from 1.
 
@@ -131,8 +136,7 @@ def pre_injection_idle(
     interference_jitter: JitterMap | None = None,
 ) -> int | None:
     """Worst-case wait at the head of the injection queue, or None if diverged."""
-    terms = _terms(flowset, flow_id, mode)
-    cap = divergence_cap(flowset, flow_id)
+    terms, cap = _inputs(flowset, flow_id, mode)
     return _idle(terms, interference_jitter or {}, cap)[0]
 
 
@@ -189,7 +193,7 @@ def _bound(base: int, idle: int | None, queue: int | None) -> int | None:
 
 
 def _passes(
-    flowset: Flowset, mode: ProtocolMode, first: tuple[dict, dict] | None = None
+    flowset: Flowset, mode: ProtocolMode, first: tuple[dict, dict, dict] | None = None
 ) -> Iterator[_Pass]:
     """Outer passes resolving interference jitter, one state per pass.
 
@@ -198,10 +202,12 @@ def _passes(
     is unchanged, or ``MAX_PASSES`` have run.  Diverged flows keep a None
     bound, which forces every flow depending on them to None as well, and
     never recover (passes are monotone), so the fixed point is reached.
-    ``first`` holds idle waits and steps already known for pass 1.
+    ``first`` holds what is already known: (terms, cap) per flow, and pass
+    1's idle waits and steps.
     """
+    known, idle, steps = first or ({}, {}, {})
     flows = [
-        (f.flow_id, _terms(flowset, f.flow_id, mode), divergence_cap(flowset, f.flow_id))
+        (f.flow_id, known.get(f.flow_id) or _inputs(flowset, f.flow_id, mode))
         for f in flowset
     ]
     fixed = {f.flow_id: _fixed(flowset, f.flow_id) for f in flowset}
@@ -209,9 +215,7 @@ def _passes(
     jmap: dict[int, int | None] = {fid: 0 for fid in fixed}
     prev: dict[int, int | None] | None = None
     for _ in range(MAX_PASSES):
-        idle, steps = first or ({}, {})
-        first = None
-        for fid, terms, cap in flows:
+        for fid, (terms, cap) in flows:
             if fid not in idle:
                 idle[fid], steps[fid] = _idle(terms, jmap, cap)
         queue: dict[int, int | None] = {}
@@ -224,6 +228,7 @@ def _passes(
         if converged:
             return
         prev = bounds
+        idle, steps = {}, {}
         # A bound is at least no-load latency plus one idle cycle, so the
         # jitter it hands on is positive.
         jmap = {
@@ -297,6 +302,8 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     slack first, up to the first miss.  Every jitter is 0 in pass 1, so each
     idle wait depends on its own flow alone and is computed once: these are
     the bounds of pass 1 of ``_passes``, and their order cannot change the verdict.
+    A flowset with no pass-1 miss hands every flow's terms, cap and idle
+    wait to ``_passes``, which builds none of them again.
     """
     fixed: dict[int, int] = {}
     slack: dict[int, int] = {}
@@ -308,17 +315,18 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
         if floor > f.deadline:
             return False
         slack[f.flow_id] = f.deadline - floor
+    known: dict[int, tuple[list[Term], int]] = {}
     idle: dict[int, int | None] = {}
     steps: dict[int, int] = {}
     for fid in sorted(slack, key=slack.__getitem__):  # ties keep flow order
         for g in (fid, *flowset.injection_sharers(fid)):
-            if g not in idle:
-                terms, cap = _terms(flowset, g, mode), divergence_cap(flowset, g)
+            if g not in known:
+                known[g] = terms, cap = _inputs(flowset, g, mode)
                 idle[g], steps[g] = _idle(terms, {}, cap)
         b = _bound(fixed[fid], idle[fid], pre_injection_queue(flowset, fid, idle))
         if b is None or b > flowset.flow(fid).deadline:
             return False
-    for state in _passes(flowset, mode, (idle, steps)):
+    for state in _passes(flowset, mode, (known, idle, steps)):
         for f in flowset:
             b = state.bounds[f.flow_id]
             if b is None or b > f.deadline:

@@ -142,10 +142,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             protocol_check=args.protocol_check,
         )
         write_trace_csv(os.path.join(out, f"trace_{mode.value}.csv"), trace)
+        tally = trace.per_flow()
         write_trace_summary_csv(
-            os.path.join(out, f"summary_{mode.value}.csv"), trace
+            os.path.join(out, f"summary_{mode.value}.csv"), trace, tally
         )
-        for fid, (packets, delivered, violated) in trace.per_flow().items():
+        for fid, (packets, delivered, violated) in tally.items():
             bound = bounds.get(fid, "-")
             worst = trace.max_latency.get(fid, "-")
             status = "ok" if violated == 0 else f"{violated} VIOLATIONS"
@@ -154,6 +155,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"delivered={delivered} max_latency={worst} "
                 f"bound={bound} {status}"
             )
+        # A flow is checked when it released a packet and has a converged bound.
+        checked = sum(fid in bounds for fid in tally)
+        print(f"{mode.value}: {checked}/{len(fs)} flows checked against a "
+              f"converged bound")
         violations += trace.bound_violations
     write_run_meta(
         out, command="simulate", seed=args.seed, flowset=args.flowset,

@@ -237,11 +237,17 @@ def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:
     _write_csv(target, TRACE_COLUMNS, rows)
 
 
-def write_trace_summary_csv(target: str | IO[str], trace: SimTrace) -> None:
+def write_trace_summary_csv(
+    target: str | IO[str], trace: SimTrace,
+    tally: Mapping[int, tuple[int, int, int]] | None = None,
+) -> None:
+    """One row per flow; ``tally`` is ``trace.per_flow()`` if already known."""
+    if tally is None:
+        tally = trace.per_flow()
     rows = [
         (fid, packets, delivered, trace.max_latency.get(fid),
          trace.max_deflections.get(fid), violations)
-        for fid, (packets, delivered, violations) in trace.per_flow().items()
+        for fid, (packets, delivered, violations) in tally.items()
     ]
     _write_csv(target, TRACE_SUMMARY_COLUMNS, rows)
 

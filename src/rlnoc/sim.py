@@ -7,13 +7,17 @@ absorbed when the switch is discarding that packet's payload, and otherwise
 forwarded, through the ring packet buffer whenever the output port is held
 by an injection or the buffer is draining.
 
-Packets are (flow_id, seq) pairs; a flit is the tuple (flow_id, seq, idx),
-and flit 0 is the packet's one header flit.  Deflection behavior is the only
-difference between the two protocol modes: full-packet deflection lets the
-whole packet loop the ring, header-only deflection loops just the header,
-absorbs the payload at the destination, and streams the retained payload
-copy behind the returning header at the origin switch.  The retained stream
-claims only the ring output port, never the core's injection link.
+A flit is the pair (packet, idx), where the packet is the one ``_Packet``
+made at its release, carrying its record and its flow's facts; flit 0 is
+the packet's one header flit.  Ring output ports are integers, numbered once
+ring by ring (ring base + position), and key every per-port table.
+
+Deflection behavior is the only difference between the two protocol modes:
+full-packet deflection lets the whole packet loop the ring, header-only
+deflection loops just the header, absorbs the payload at the destination,
+and streams the retained payload copy behind the returning header at the
+origin switch.  The retained stream claims only the ring output port, never
+the core's injection link.
 
 Every in-order flit range the switches take is one record, ``_Run``: an
 ejection, a payload discard, an injection and a re-injection alike.
@@ -35,9 +39,6 @@ from typing import Mapping
 
 from .analysis import ProtocolMode
 from .model import Flow, Flowset, ModelError, maxloop_oldest_first
-
-Flit = tuple[int, int, int]  # (flow_id, seq, idx)
-
 
 class SimInvariantError(RuntimeError):
     """Internal consistency violation; indicates a simulator bug."""
@@ -182,6 +183,29 @@ def default_horizon(flowset: Flowset) -> int:
     return min(HORIZON_CAP, 2 * max(f.period for f in flowset) * len(flowset))
 
 
+class _Packet:
+    """One released packet as the simulator carries it on every flit.
+
+    It holds the packet's ``PacketRecord``, its flow's length, source port,
+    destination switch and ring, its Oldest-First key (injection cycle,
+    ring, flow id; set once at injection) and ``flagged``, set while a
+    header-only deflected header has not yet passed its origin.
+    """
+
+    __slots__ = ("record", "length", "src_port", "dst_switch", "ring", "key",
+                 "flagged")
+
+    def __init__(self, record: PacketRecord,
+                 facts: tuple[int, int, int, int]) -> None:
+        self.record = record
+        self.length, self.src_port, self.dst_switch, self.ring = facts
+        self.key: tuple[int, int, int] | None = None
+        self.flagged = False
+
+
+Flit = tuple[_Packet, int]  # (packet, idx)
+
+
 class _Run:
     """Flits ``next_idx..end-1`` of one packet, taken in index order.
 
@@ -192,45 +216,49 @@ class _Run:
     retained payload right behind the returning header.
     """
 
-    __slots__ = ("flow_id", "seq", "next_idx", "end", "hops")
+    __slots__ = ("packet", "next_idx", "end", "hops")
 
-    def __init__(
-        self, flow_id: int, seq: int, next_idx: int, end: int, hops: int = 1
-    ) -> None:
-        self.flow_id = flow_id
-        self.seq = seq
+    def __init__(self, packet: _Packet, next_idx: int, end: int,
+                 hops: int = 1) -> None:
+        self.packet = packet
         self.next_idx = next_idx
         self.end = end
         self.hops = hops
 
 
 class _Simulator:
-    def __init__(
-        self,
-        flowset: Flowset,
-        mode: ProtocolMode,
-        bounds: Mapping[int, int] | None,
-        protocol_check: bool,
-    ) -> None:
+    def __init__(self, flowset: Flowset, mode: ProtocolMode,
+                 bounds: Mapping[int, int] | None, protocol_check: bool) -> None:
         self.fs = flowset
         self.mode = mode
         self.bounds = bounds or {}
         self.protocol_check = protocol_check
 
+        # Ring output ports, numbered ring by ring: port = ring base + position.
         top = flowset.topology
-        self.ring_switches = {r.ring_id: r.switches for r in top.rings}
-        self.ring_caps = dict(flowset.ring_buffers)
-        self.flow_ring: dict[int, int] = {}
-        self.flow_len: dict[int, int] = {}
-        self.src_pos: dict[int, int] = {}
-        self.dst_switch: dict[int, int] = {}
+        self.ring_base: list[int] = []
+        self.port_switch: list[int] = []
+        self.port_ring: list[int] = []
+        self.next_port: list[int] = []
+        self.port_cap: list[int] = []
+        for ring in top.rings:
+            base, n = len(self.port_switch), len(ring)
+            self.ring_base.append(base)
+            self.port_switch.extend(ring.switches)
+            self.port_ring.extend([ring.ring_id] * n)
+            self.next_port.extend(base + (i + 1) % n for i in range(n))
+            self.port_cap.extend([flowset.ring_buffers[ring.ring_id]] * n)
+
+        # flow id -> (length, source port, destination switch, ring)
+        self.flow_facts: dict[int, tuple[int, int, int, int]] = {}
         for f in flowset:
             fid = f.flow_id
             ring = flowset.ring_of(fid)
-            self.flow_ring[fid] = ring.ring_id
-            self.flow_len[fid] = f.length
-            self.src_pos[fid] = ring.position(flowset.src_switch(fid))
-            self.dst_switch[fid] = flowset.dst_switch(fid)
+            src_port = (self.ring_base[ring.ring_id]
+                        + ring.position(flowset.src_switch(fid)))
+            self.flow_facts[fid] = (
+                f.length, src_port, flowset.dst_switch(fid), ring.ring_id
+            )
             # A deflected packet longer than its ring would catch its own
             # tail (two of its flits on one link).  Deflection requires a
             # competitor: another flow on the ring or at the ejection link.
@@ -245,22 +273,22 @@ class _Simulator:
                     f"overlap itself"
                 )
 
-        # Mutable network state.  Buffers and queues hold only non-empty
-        # entries: an entry is deleted when it empties.
-        self.buffers: dict[tuple[int, int], list[Flit]] = {}
-        # (ring, pos) -> the injection or re-injection holding that output.
-        self.claims: dict[tuple[int, int], _Run] = {}
+        # Mutable network state, keyed by port or switch.  Buffers and
+        # queues hold only non-empty entries: an entry is deleted when it
+        # empties.
+        self.buffers: dict[int, list[Flit]] = {}
+        # port -> the injection or re-injection holding that output.
+        self.claims: dict[int, _Run] = {}
         self.ejecting: dict[int, _Run] = {}  # switch -> packet on its link
-        self.discarding: dict[tuple[int, int], _Run] = {}  # absorbed at (ring, pos)
-        self.pending: dict[int, dict[tuple[int, int], tuple[int, int, int]]] = {}
-        # Header-only deflected packets whose header has not yet passed its
-        # origin.  The origin still retains the payload exactly when no newer
-        # packet of the flow has been released since.
-        self.flagged: set[tuple[int, int]] = set()
-        self.last_released: dict[int, int] = {}
-        self.queues: dict[int, list[tuple[int, int]]] = {}  # switch -> [(fid, seq)]
-        self.inj_busy_until: dict[int, int] = {}
-        self.records: dict[tuple[int, int], PacketRecord] = {}
+        self.discarding: dict[int, _Run] = {}  # port -> payload absorbed there
+        # switch -> deflected packets that hold a reservation on its link
+        self.pending: dict[int, set[_Packet]] = {}
+        # The origin still retains a deflected packet's payload exactly when
+        # it is its flow's last released packet.
+        self.last_released: dict[int, _Packet] = {}
+        self.queues: dict[int, list[_Packet]] = {}  # switch -> packets
+        self.inj_busy_until = [0] * top.n_switches
+        self.records: list[PacketRecord] = []  # in release order
 
         self.flit_hops = 0
         self.retention_violations = 0
@@ -269,203 +297,182 @@ class _Simulator:
 
     # -- helpers -----------------------------------------------------------
 
-    def _switch(self, ring: int, pos: int) -> int:
-        return self.ring_switches[ring][pos]
-
-    def _key(self, flow_id: int, seq: int) -> tuple[int, int, int]:
-        ts = self.records[(flow_id, seq)].inject_start
-        return (ts, self.flow_ring[flow_id], flow_id)
-
-    def _buffer_put(self, ring: int, pos: int, flit: Flit) -> None:
-        buf = self.buffers.setdefault((ring, pos), [])
-        buf.append(flit)
-        if len(buf) > self.ring_caps[ring]:
-            raise SimInvariantError(
-                f"buffer overflow at switch {self._switch(ring, pos)} ring {ring}"
-            )
-
-    def _deflect(self, ring: int, pos: int, flit: Flit) -> None:
+    def _deflect(self, port: int, packet: _Packet) -> None:
         """Header denied ejection; register it and set up mode-specific state."""
-        fid, seq, _ = flit
-        rec = self.records[(fid, seq)]
-        rec.deflections += 1
-        switch = self._switch(ring, pos)
-        self.pending.setdefault(switch, {})[(fid, seq)] = self._key(fid, seq)
-        length = self.flow_len[fid]
-        if self.mode is ProtocolMode.PROPOSED and length > 1:
-            self.flagged.add((fid, seq))
+        packet.record.deflections += 1
+        self.pending.setdefault(packet.dst_switch, set()).add(packet)
+        if self.mode is ProtocolMode.PROPOSED and packet.length > 1:
+            packet.flagged = True
             # Absorb the payload flits trailing the header as they arrive.
-            self.discarding[(ring, pos)] = _Run(fid, seq, 1, length)
+            self.discarding[port] = _Run(packet, 1, packet.length)
 
-    def _drop(self, ring: int, pos: int, flit: Flit) -> None:
+    def _drop(self, packet: _Packet) -> None:
         """Retention gone: absorb the returning header, clear state."""
-        fid, seq, _ = flit
-        rec = self.records[(fid, seq)]
-        rec.dropped = True
+        packet.record.dropped = True
+        packet.flagged = False
         self.retention_violations += 1
         self.consumed_flits += 1
-        self.flagged.discard((fid, seq))
-        dst = self.dst_switch[fid]
-        pend = self.pending.get(dst)
+        pend = self.pending.get(packet.dst_switch)
         if pend:
-            pend.pop((fid, seq), None)
+            pend.discard(packet)
 
     # -- per-cycle phases --------------------------------------------------
 
-    def _arrive(
-        self, cycle: int, arrivals: dict[tuple[int, int], Flit]
-    ) -> dict[tuple[int, int], Flit]:
+    def _arrive(self, cycle: int, arrivals: dict[int, Flit]) -> dict[int, Flit]:
         """Consume or classify every arriving flit; returns forward candidates."""
-        forward: dict[tuple[int, int], Flit] = {}
-        eject_wanting: dict[int, list[tuple[tuple[int, int], Flit]]] = {}
-        for (ring, pos), flit in arrivals.items():
-            fid, seq, idx = flit
-            switch = self._switch(ring, pos)
-            ej = self.ejecting.get(switch)
-            if ej is not None and ej.flow_id == fid and ej.seq == seq and idx > 0:
+        port_switch = self.port_switch
+        ejecting, discarding = self.ejecting, self.discarding
+        forward: dict[int, Flit] = {}
+        eject_wanting: dict[int, list[tuple[int, Flit]]] = {}
+        hops = consumed = 0
+        for port, flit in arrivals.items():
+            packet, idx = flit
+            switch = port_switch[port]
+            ej = ejecting.get(switch)
+            if ej is not None and ej.packet is packet and idx > 0:
                 if idx != ej.next_idx:
+                    rec = packet.record
                     raise SimInvariantError(
-                        f"out-of-order ejection flit {flit} at switch {switch}"
+                        f"out-of-order ejection flit {(rec.flow_id, rec.seq, idx)} "
+                        f"at switch {switch}"
                     )
                 ej.next_idx += 1
-                self.flit_hops += 1
-                self.consumed_flits += 1
+                hops += 1
+                consumed += 1
                 if ej.next_idx == ej.end:
-                    self.records[(fid, seq)].eject_end = cycle
-                    del self.ejecting[switch]
+                    packet.record.eject_end = cycle
+                    del ejecting[switch]
                 continue
-            dis = self.discarding.get((ring, pos))
-            if (
-                dis is not None and dis.flow_id == fid and dis.seq == seq
-                and idx == dis.next_idx
-            ):
+            dis = discarding.get(port)
+            if dis is not None and dis.packet is packet and idx == dis.next_idx:
                 dis.next_idx += 1
-                self.consumed_flits += 1
+                consumed += 1
                 if dis.next_idx == dis.end:
-                    del self.discarding[(ring, pos)]
+                    del discarding[port]
                 continue
             if idx == 0:
-                flagged = (fid, seq) in self.flagged
-                if flagged and pos == self.src_pos[fid]:
-                    if self.last_released[fid] == seq:
-                        forward[(ring, pos)] = flit
+                if packet.flagged and port == packet.src_port:
+                    if self.last_released[packet.record.flow_id] is packet:
+                        forward[port] = flit
                     else:
-                        self._drop(ring, pos, flit)
+                        self._drop(packet)
                     continue
-                if switch == self.dst_switch[fid] and not flagged:
-                    eject_wanting.setdefault(switch, []).append(((ring, pos), flit))
+                if switch == packet.dst_switch and not packet.flagged:
+                    eject_wanting.setdefault(switch, []).append((port, flit))
                     continue
-            forward[(ring, pos)] = flit
+            forward[port] = flit
 
         for switch, cands in eject_wanting.items():
-            cands.sort(key=lambda c: self._key(c[1][0], c[1][1]))
-            granted = self.ejecting.get(switch) is not None
-            for (ring, pos), flit in cands:
-                fid, seq, _ = flit
-                own = self._key(fid, seq)
-                pend = self.pending.get(switch, {})
-                older = any(
-                    key < own for pkt, key in pend.items() if pkt != (fid, seq)
-                )
+            cands.sort(key=lambda c: c[1][0].key)
+            granted = switch in ejecting
+            pend = self.pending.setdefault(switch, set())
+            for port, flit in cands:
+                packet = flit[0]
+                own = packet.key
+                older = any(p.key < own for p in pend if p is not packet)
                 if not granted and not older:
                     granted = True
-                    length = self.flow_len[fid]
-                    self.flit_hops += 1
-                    self.consumed_flits += 1
-                    pend.pop((fid, seq), None)
-                    if length == 1:
-                        self.records[(fid, seq)].eject_end = cycle
+                    hops += 1
+                    consumed += 1
+                    pend.discard(packet)
+                    if packet.length == 1:
+                        packet.record.eject_end = cycle
                     else:
-                        self.ejecting[switch] = _Run(fid, seq, 1, length)
+                        ejecting[switch] = _Run(packet, 1, packet.length)
                 else:
-                    self._deflect(ring, pos, flit)
-                    forward[(ring, pos)] = flit
+                    self._deflect(port, packet)
+                    forward[port] = flit
+        self.flit_hops += hops
+        self.consumed_flits += consumed
         return forward
 
-    def _emit(
-        self, cycle: int, forward: dict[tuple[int, int], Flit]
-    ) -> dict[tuple[int, int], Flit]:
-        """Resolve every output port; returns next cycle's arrivals."""
-        active: set[tuple[int, int]] = set(forward)
-        active.update(self.claims)
-        active.update(self.buffers)
-        for queue in self.queues.values():
-            fid, _ = queue[0]
-            active.add((self.flow_ring[fid], self.src_pos[fid]))
+    def _emit(self, cycle: int, forward: dict[int, Flit]) -> dict[int, Flit]:
+        """Resolve every active output port once; returns next cycle's arrivals.
 
-        arrivals: dict[tuple[int, int], Flit] = {}
-        for ring, pos in active:
-            emitted = self._emit_one(cycle, ring, pos, forward.get((ring, pos)))
-            if emitted is not None:
-                npos = (pos + 1) % len(self.ring_switches[ring])
-                if (ring, npos) in arrivals:
+        The order of the ports does not matter.  A port reads and writes only
+        its own claim, buffer and forward candidate and its successor's
+        arrival slot, which no other port feeds.  It pops its switch's
+        injection queue only when the head packet belongs to it, and
+        ``inj_busy_until`` then blocks a second injection at that switch in
+        the same cycle, whichever port is resolved first.
+        """
+        claims, buffers = self.claims, self.buffers
+        next_port, port_cap = self.next_port, self.port_cap
+        active = set(forward)
+        active.update(claims)
+        active.update(buffers)
+        for queue in self.queues.values():
+            active.add(queue[0].src_port)
+
+        arrivals: dict[int, Flit] = {}
+        hops = injected = 0
+        for port in active:
+            incoming = forward.get(port)
+            claim = claims.get(port)
+            buf = buffers.get(port)
+            if claim is not None:
+                flit = (claim.packet, claim.next_idx)
+                claim.next_idx += 1
+                hops += claim.hops
+                injected += 1
+                if claim.next_idx == claim.end:
+                    del claims[port]
+            elif buf is not None:
+                flit = buf.pop(0)
+                hops += 1
+            elif incoming is not None:
+                flit, incoming = incoming, None
+                hops += 1
+            else:
+                self._try_inject(cycle, port)
+                continue
+            if incoming is not None:  # the output is taken: buffer the arrival
+                if buf is None:
+                    buf = buffers[port] = []
+                buf.append(incoming)
+                if len(buf) > port_cap[port]:
                     raise SimInvariantError(
-                        f"two flits on one link: ring {ring} position {npos}"
+                        f"buffer overflow at switch {self.port_switch[port]} "
+                        f"ring {self.port_ring[port]}"
                     )
-                arrivals[(ring, npos)] = emitted
+            elif buf is not None and not buf:
+                del buffers[port]
+            packet, idx = flit
+            # A flagged header reaches its origin's output only when the
+            # payload was still retained there; otherwise it was dropped on
+            # arrival.  The retained payload streams out right behind it.
+            if idx == 0 and packet.flagged and port == packet.src_port:
+                packet.flagged = False
+                claims[port] = _Run(packet, 1, packet.length)
+            nxt = next_port[port]
+            if nxt in arrivals:
+                ring = self.port_ring[nxt]
+                raise SimInvariantError(
+                    f"two flits on one link: ring {ring} position "
+                    f"{nxt - self.ring_base[ring]}"
+                )
+            arrivals[nxt] = flit
+        self.flit_hops += hops
+        self.injected_flits += injected
         return arrivals
 
-    def _emit_one(
-        self, cycle: int, ring: int, pos: int, incoming: Flit | None
-    ) -> Flit | None:
-        claim = self.claims.get((ring, pos))
-        if claim is not None:
-            flit = (claim.flow_id, claim.seq, claim.next_idx)
-            claim.next_idx += 1
-            self.flit_hops += claim.hops
-            self.injected_flits += 1
-            if claim.next_idx == claim.end:
-                del self.claims[(ring, pos)]
-            if incoming is not None:
-                self._buffer_put(ring, pos, incoming)
-            return flit
-
-        buf = self.buffers.get((ring, pos))
-        emitted: Flit
-        if buf is not None:
-            emitted = buf.pop(0)
-            if not buf:
-                del self.buffers[(ring, pos)]
-            self.flit_hops += 1
-            if incoming is not None:
-                self._buffer_put(ring, pos, incoming)
-        elif incoming is not None:
-            emitted = incoming
-            self.flit_hops += 1
-        else:
-            self._try_inject(cycle, ring, pos)
-            return None
-
-        fid, seq, idx = emitted
-        # A flagged header reaches its origin's output only when the payload
-        # was still retained there; otherwise it was dropped on arrival.
-        if idx == 0 and pos == self.src_pos[fid] and (fid, seq) in self.flagged:
-            self.flagged.remove((fid, seq))
-            # The retained payload streams out right behind this header.
-            self.claims[(ring, pos)] = _Run(fid, seq, 1, self.flow_len[fid])
-        return emitted
-
-    def _try_inject(self, cycle: int, ring: int, pos: int) -> None:
-        switch = self._switch(ring, pos)
+    def _try_inject(self, cycle: int, port: int) -> None:
+        # Called only for a port with nothing to send, so its buffer is empty.
+        switch = self.port_switch[port]
         queue = self.queues.get(switch)
-        if queue is None:
+        if queue is None or queue[0].src_port != port:
             return
-        fid, seq = queue[0]
-        if self.flow_ring[fid] != ring or self.src_pos[fid] != pos:
+        if cycle < self.inj_busy_until[switch]:
             return
-        if (ring, pos) in self.buffers:
-            return
-        if cycle < self.inj_busy_until.get(switch, 0):
-            return
-        queue.pop(0)
+        packet = queue.pop(0)
         if not queue:
             del self.queues[switch]
-        length = self.flow_len[fid]
-        self.claims[(ring, pos)] = _Run(fid, seq, 0, length, hops=2)
-        self.inj_busy_until[switch] = cycle + length
-        self.records[(fid, seq)].inject_start = cycle
+        packet.key = (cycle, packet.ring, packet.record.flow_id)
+        packet.record.inject_start = cycle
+        self.claims[port] = _Run(packet, 0, packet.length, hops=2)
+        self.inj_busy_until[switch] = cycle + packet.length
 
-    def _check_conservation(self, arrivals: dict[tuple[int, int], Flit]) -> None:
+    def _check_conservation(self, arrivals: dict[int, Flit]) -> None:
         # A flit is injected when it first crosses a link and consumed when
         # ejected, discarded, or dropped.  In between it sits on a link
         # (next cycle's arrivals) or in a ring buffer.
@@ -486,17 +493,11 @@ class _Simulator:
         schedule.sort()
         ptr = 0
 
-        arrivals: dict[tuple[int, int], Flit] = {}
+        arrivals: dict[int, Flit] = {}
         cycle = 0
         while cycle < horizon:
-            if (
-                not arrivals
-                and not self.claims
-                and not self.ejecting
-                and not self.discarding
-                and not self.buffers
-                and not self.queues
-            ):
+            if not (arrivals or self.claims or self.ejecting or self.discarding
+                    or self.buffers or self.queues):
                 if ptr >= len(schedule):
                     break
                 cycle = max(cycle, schedule[ptr][0])
@@ -505,11 +506,12 @@ class _Simulator:
             while ptr < len(schedule) and schedule[ptr][0] == cycle:
                 _, fid, seq = schedule[ptr]
                 ptr += 1
-                self.records[(fid, seq)] = PacketRecord(fid, seq, cycle)
-                src = self.fs.src_switch(fid)
-                self.queues.setdefault(src, []).append((fid, seq))
+                packet = _Packet(PacketRecord(fid, seq, cycle), self.flow_facts[fid])
+                self.records.append(packet.record)
+                switch = self.port_switch[packet.src_port]
+                self.queues.setdefault(switch, []).append(packet)
                 # Releasing a packet evicts the flow's retained payload.
-                self.last_released[fid] = seq
+                self.last_released[fid] = packet
             forward = self._arrive(cycle, arrivals)
             arrivals = self._emit(cycle, forward)
             if self.protocol_check:
@@ -519,13 +521,11 @@ class _Simulator:
         return self._trace(horizon, seed)
 
     def _trace(self, horizon: int, seed: str) -> SimTrace:
-        records = sorted(
-            self.records.values(), key=lambda r: (r.release, r.flow_id, r.seq)
-        )
+        # Records were made in schedule order: by release, flow id and seq.
         max_latency: dict[int, int] = {}
         max_deflections: dict[int, int] = {}
         violations = 0
-        for rec in records:
+        for rec in self.records:
             bound = self.bounds.get(rec.flow_id)
             if rec.delivered:
                 max_latency[rec.flow_id] = max(
@@ -544,7 +544,7 @@ class _Simulator:
             mode=self.mode,
             horizon=horizon,
             seed=seed,
-            records=tuple(records),
+            records=tuple(self.records),
             max_latency=max_latency,
             max_deflections=max_deflections,
             flit_hops=self.flit_hops,

@@ -210,6 +210,41 @@ class TestSimulateCommand:
         )
         assert all(r.endswith(",true") for r in rows if r)
 
+    def test_checked_share_line_per_mode(
+        self, small_flowset, tmp_path, monkeypatch, capsys
+    ):
+        rc = cli.main([
+            "simulate", small_flowset, "--horizon", "3000",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        for mode in ("baseline", "proposed"):
+            assert f"{mode}: 2/2 flows checked against a converged bound" in out
+        summary = (tmp_path / "summary_baseline.csv").read_bytes()
+
+        real = cli.analyze
+
+        def flow_one_unconverged(fs, mode):
+            rep = real(fs, mode)
+            flows = tuple(
+                dataclasses.replace(fa, converged=fa.flow_id != 1)
+                for fa in rep.flows
+            )
+            return dataclasses.replace(rep, flows=flows)
+
+        monkeypatch.setattr(cli, "analyze", flow_one_unconverged)
+        rc = cli.main([
+            "simulate", small_flowset, "--mode", "baseline", "--horizon",
+            "3000", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "baseline: 1/2 flows checked against a converged bound" in out
+        assert "flow 1 baseline:" in out[1] and "bound=-" in out[1]
+        # The console line adds nothing to the summary CSV.
+        assert (tmp_path / "summary_baseline.csv").read_bytes() == summary
+
     def test_deterministic_traces(self, small_flowset, tmp_path):
         outs = []
         for sub in ("r1", "r2"):

@@ -4,11 +4,14 @@ The SHA-256 digests below were recorded from the same commands before the
 flowset index was rewritten (the 4x4/100 case before the analysis passes
 were merged into one driver, the simulation case before the simulator's
 state was rebuilt around one flit-range record, the mixed-budget case before
-flows stopped carrying their derived ring and budget).  A change that alters
-any of these bytes changes a result, not just its speed.
+flows stopped carrying their derived ring and budget, the jittered hotspot
+case before the simulator numbered its ports and let each flit carry its
+packet).  A change that alters any of these bytes changes a result, not just
+its speed.
 """
 import hashlib
 import json
+import random
 
 import rlnoc.cli as cli
 
@@ -38,6 +41,12 @@ GOLDEN = {
     # Hand-written 4x4 flowset whose file fixes some budgets and leaves the
     # rest to the Oldest-First count (MIXED_FLOWS below).
     "report_mixed.csv": "57b4078511d52ff9434dae0eb31c5289c1e391512b7197ea98d8d767f50a40e5",
+    # 4x4, 24 flows into 3 hot cores, jittered releases (_hotspot_document).
+    "fs_hotspot.json": "6812de12b251ae8962ee3e4681865eaa77d1656ba453c0ef04055275e4029874",
+    "trace_hotspot_baseline.csv": "fb55fee314e34d7bdd5b7d11d82c2a1009300e056878b7bc15a60f92f933e5a5",
+    "trace_hotspot_proposed.csv": "5b0c56785708ba7f2ce2cb836a26a12a1a02a981d6471892d637a8b43e0240f7",
+    "summary_hotspot_baseline.csv": "8bbfe68e7fe0eab278d26b8db2ea52536908b5b8388db2e04ee78c70d9a3c1ad",
+    "summary_hotspot_proposed.csv": "8bbfe68e7fe0eab278d26b8db2ea52536908b5b8388db2e04ee78c70d9a3c1ad",
 }
 
 # (id, T, D, L, J, src, dst, maxloop).  Flows 1 and 3 fix a budget below
@@ -140,3 +149,43 @@ def test_simulation_trace_and_summary_bytes(tmp_path):
     for name in ("trace_baseline.csv", "trace_proposed.csv",
                  "summary_baseline.csv", "summary_proposed.csv"):
         assert _sha256(tmp_path / name) == GOLDEN[name], name
+
+
+def _hotspot_document() -> dict:
+    """4x4 flowset of 24 flows of 2-4 flits, all destined to 3 hot cores."""
+    rng = random.Random("jitter-0")
+    hot = rng.sample(range(16), 3)
+    flows = []
+    for i in range(24):
+        dst = rng.choice(hot)
+        src = rng.choice([c for c in range(16) if c != dst])
+        period = rng.randint(60, 400)
+        flows.append({
+            "id": i, "T": period, "D": period, "L": rng.randint(2, 4),
+            "J": rng.randint(0, period // 2), "src": src, "dst": dst,
+            "maxloop": None,
+        })
+    return {"rows": 4, "cols": 4, "flows": flows}
+
+
+def test_jittered_hotspot_simulation_bytes(tmp_path):
+    """Many-to-few traffic under jittered releases deflects in both modes.
+
+    Horizon 6000: 632 packets per mode, 16 baseline and 16 proposed
+    deflections, 11,169 and 10,978 flit-hops; 6 of the 24 flows have a
+    converged bound in each mode.
+    """
+    flowset = tmp_path / "fs.json"
+    flowset.write_text(json.dumps(_hotspot_document()))
+    assert _sha256(flowset) == GOLDEN["fs_hotspot.json"]
+    rc = cli.main([
+        "simulate", str(flowset), "--mode", "both", "--pattern", "jitter",
+        "--horizon", "6000", "--seed", "0", "--protocol-check",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 0
+    for kind in ("trace", "summary"):
+        for mode in ("baseline", "proposed"):
+            name = f"{kind}_{mode}.csv"
+            assert (_sha256(tmp_path / name)
+                    == GOLDEN[f"{kind}_hotspot_{mode}.csv"]), name

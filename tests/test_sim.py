@@ -30,6 +30,7 @@ from rlnoc.sim import (
     SimInvariantError,
     Sporadic,
     Synchronous,
+    _Simulator,
     default_horizon,
     run,
 )
@@ -418,6 +419,29 @@ class TestReleasePatterns:
                             make_flow(1, 0, 4, period=600_000)])
         assert default_horizon(big) == 2_000_000
         assert default_horizon(Flowset(top, [])) == 1
+
+
+class TestPortNumbering:
+    @pytest.mark.parametrize("grid", range(2, 10))
+    def test_next_port_walks_each_ring_in_order(self, grid):
+        top = generate_rlrec(grid, grid)
+        rng = random.Random(f"{grid}:ports")
+        flows = []
+        for fid in range(2 * grid):
+            src, dst = rng.sample(range(grid * grid), 2)
+            flows.append(make_flow(fid, src, dst, length=rng.randint(1, 4)))
+        fs = Flowset(top, flows)
+        sim = _Simulator(fs, BASE, None, False)
+        assert len(sim.next_port) == sum(len(r) for r in top.rings)
+        for ring in top.rings:
+            base = sim.ring_base[ring.ring_id]
+            port = base
+            for switch in ring.switches:
+                assert sim.port_switch[port] == switch
+                assert sim.port_ring[port] == ring.ring_id
+                assert sim.port_cap[port] == fs.ring_buffers[ring.ring_id]
+                port = sim.next_port[port]
+            assert port == base
 
 
 def _random_schedulable(seed: int):
