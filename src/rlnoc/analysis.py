@@ -100,11 +100,6 @@ def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
     return terms
 
 
-def _inputs(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> tuple[list[Term], int]:
-    """The flow's idle-bound terms and its divergence cap."""
-    return _terms(flowset, flow_id, mode), divergence_cap(flowset, flow_id)
-
-
 def _idle(terms: list[Term], jmap: JitterMap, cap: int) -> tuple[int | None, int]:
     """Least fixed point of the idle bound by ascending iteration from 1.
 
@@ -136,7 +131,8 @@ def pre_injection_idle(
     interference_jitter: JitterMap | None = None,
 ) -> int | None:
     """Worst-case wait at the head of the injection queue, or None if diverged."""
-    terms, cap = _inputs(flowset, flow_id, mode)
+    terms = _terms(flowset, flow_id, mode)
+    cap = divergence_cap(flowset, flow_id)
     return _idle(terms, interference_jitter or {}, cap)[0]
 
 
@@ -207,7 +203,8 @@ def _passes(
     """
     known, idle, steps = first or ({}, {}, {})
     flows = [
-        (f.flow_id, known.get(f.flow_id) or _inputs(flowset, f.flow_id, mode))
+        (f.flow_id, known.get(f.flow_id)
+         or (_terms(flowset, f.flow_id, mode), divergence_cap(flowset, f.flow_id)))
         for f in flowset
     ]
     fixed = {f.flow_id: _fixed(flowset, f.flow_id) for f in flowset}
@@ -321,7 +318,8 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     for fid in sorted(slack, key=slack.__getitem__):  # ties keep flow order
         for g in (fid, *flowset.injection_sharers(fid)):
             if g not in known:
-                known[g] = terms, cap = _inputs(flowset, g, mode)
+                terms, cap = _terms(flowset, g, mode), divergence_cap(flowset, g)
+                known[g] = terms, cap
                 idle[g], steps[g] = _idle(terms, {}, cap)
         b = _bound(fixed[fid], idle[fid], pre_injection_queue(flowset, fid, idle))
         if b is None or b > flowset.flow(fid).deadline:

@@ -239,11 +239,9 @@ def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:
 
 def write_trace_summary_csv(
     target: str | IO[str], trace: SimTrace,
-    tally: Mapping[int, tuple[int, int, int]] | None = None,
+    tally: Mapping[int, tuple[int, int, int]],
 ) -> None:
-    """One row per flow; ``tally`` is ``trace.per_flow()`` if already known."""
-    if tally is None:
-        tally = trace.per_flow()
+    """One row per flow; ``tally`` is ``trace.per_flow()``."""
     rows = [
         (fid, packets, delivered, trace.max_latency.get(fid),
          trace.max_deflections.get(fid), violations)

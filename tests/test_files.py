@@ -187,7 +187,7 @@ class TestWriters:
         fs = _two_flow_set()
         trace = run(fs, ProtocolMode.BASELINE, horizon=3000)
         buf = io.StringIO()
-        write_trace_summary_csv(buf, trace)
+        write_trace_summary_csv(buf, trace, trace.per_flow())
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == ("flow_id,packets,delivered,max_latency,"
                             "max_deflections,bound_violations")
