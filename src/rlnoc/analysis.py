@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .model import Flowset, no_load_latency
 
@@ -27,9 +27,12 @@ MAX_PASSES = 4096
 
 JitterMap = Mapping[int, "int | None"]
 
-# (interferer, weight, period, release jitter): the interferer holds the
-# flow's injection switch for ``weight`` cycles per release in the window.
+# (interferer position, weight, period, release jitter + period - 1): the
+# interferer holds the flow's injection switch for ``weight`` cycles per
+# release in the window.
 Term = tuple[int, int, int, int]
+# A flow's idle-bound terms and its divergence cap.
+Window = tuple[list[Term], int]
 
 
 class ProtocolMode(Enum):
@@ -48,7 +51,6 @@ class FlowAnalysis:
     post_injection: int
     bound: int | None
     deadline: int
-    jitter_used: tuple[tuple[int, int | None], ...]
     schedulable: bool
     converged: bool
     iterations: int
@@ -63,65 +65,181 @@ class AnalysisReport:
     wall_time: float
 
 
-def divergence_cap(flowset: Flowset, flow_id: int) -> int:
-    """Busy-period size beyond which iteration gives up.
+class _Row(NamedTuple):
+    """The inputs of one flow's bound that no interferer's jitter changes."""
 
-    Anything past the deadline already means unschedulable, so the cap only
-    needs to sit above it (the period, as a deadline never exceeds it); it
-    scales with the peers' total deflection count so slowly-converging but
-    finite instances are not cut off early.
+    no_load: int
+    post: int
+    fixed: int  # no-load latency + own loops' ring crossings + post-injection
+    sharers: list[int]  # positions of the flows sharing its injection link
+    sharer_length: int  # their packet lengths, summed
+
+
+class _Table:
+    """Every flow's bound inputs for one call, by position in ``flowset.flows``.
+
+    Interferers and injection sharers are named by position too, so the
+    outer passes run over lists.  A flow's row and window are built on first
+    use and never again in the call: ``analyze`` builds them all, while
+    ``quick_verdict`` builds only what its screens reach.  ``idle`` and
+    ``steps`` hold pass 1's idle wait (every interference jitter 0) of each
+    flow whose window has been built.
     """
-    peers = flowset.interference_sets(flow_id).ring_peers
-    loops = sum(flowset.maxloops[j] for j in peers)
-    return min(HARD_CAP, flowset.flow(flow_id).period * (1 + loops))
+
+    def __init__(self, flowset: Flowset, mode: ProtocolMode) -> None:
+        self.flowset = flowset
+        self.mode = mode
+        self.at = {f.flow_id: pos for pos, f in enumerate(flowset.flows)}
+        n = len(flowset.flows)
+        self.rows: list[_Row | None] = [None] * n
+        self.windows: list[Window | None] = [None] * n
+        self.idle: list[int | None] = [None] * n
+        self.steps = [0] * n
+        self.zero = [0] * n
+
+    def row(self, pos: int) -> _Row:
+        """The interference-free inputs of the flow at ``pos``.
+
+        Post-injection buffering: every downstream switch can hold the packet
+        for a full buffer drain, and each own deflection adds one lap of the
+        ring at one buffer delay per link.  The fixed part of the bound adds
+        the no-load latency and one ring crossing per own deflection; the
+        bound adds the idle and queue waits to it.
+        """
+        row = self.rows[pos]
+        if row is None:
+            fs = self.flowset
+            fid = fs.flows[pos].flow_id
+            lap = len(fs.ring_of(fid))
+            buf = fs.buffer_of(fid)
+            loops = fs.maxloops[fid]
+            post = (len(fs.path_of(fid)) - 1) * buf + loops * lap * buf
+            no_load = no_load_latency(fs, fid)
+            sharers = [self.at[g] for g in fs.injection_sharers(fid)]
+            length = 0
+            for p in sharers:
+                length += fs.flows[p].length
+            row = self.rows[pos] = _Row(
+                no_load, post, no_load + loops * lap + post, sharers, length
+            )
+        return row
+
+    def window(self, pos: int) -> Window:
+        """The idle-bound terms and divergence cap of the flow at ``pos``.
+
+        The idle bound is 1 + sum over terms of
+        weight * ceil((I + release jitter + interference jitter) / period).
+        Upstream peers cross the injection switch once per packet plus once
+        per loop; the rest cross it only while looping, paying full length
+        under full-packet deflection but one header flit under header-only
+        deflection.
+
+        The cap is the busy-period size beyond which iteration gives up.
+        Anything past the deadline already means unschedulable, so the cap
+        only needs to sit above it (the period, as a deadline never exceeds
+        it); it scales with the peers' total deflection count so
+        slowly-converging but finite instances are not cut off early.
+        """
+        window = self.windows[pos]
+        if window is None:
+            fs, at = self.flowset, self.at
+            flows, loops = fs.flows, fs.maxloops
+            sets = fs.interference_sets(flows[pos].flow_id)
+            terms: list[Term] = []
+            peer_loops = 0
+            for g in sets.upstream:
+                k = loops[g]
+                p = at[g]
+                f = flows[p]
+                peer_loops += k
+                terms.append((p, (1 + k) * f.length, f.period,
+                              f.jitter + f.period - 1))
+            full = self.mode is ProtocolMode.BASELINE
+            for g in sets.deflected_only:
+                k = loops[g]
+                if k:
+                    p = at[g]
+                    f = flows[p]
+                    peer_loops += k
+                    terms.append((p, k * (f.length if full else 1), f.period,
+                                  f.jitter + f.period - 1))
+            cap = min(HARD_CAP, flows[pos].period * (1 + peer_loops))
+            window = self.windows[pos] = terms, cap
+        return window
+
+    def first_idle(self, pos: int) -> int | None:
+        """Pass 1's idle wait of the flow at ``pos``, building its window."""
+        if self.windows[pos] is None:
+            self.idle[pos], self.steps[pos] = _idle(self.window(pos), self.zero)
+        return self.idle[pos]
 
 
-def _terms(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> list[Term]:
-    """Interference terms of the flow's head-of-queue idle bound.
+def _table_at(
+    flowset: Flowset, flow_id: int, mode: ProtocolMode = ProtocolMode.BASELINE
+) -> tuple[_Table, int]:
+    """A table for ``flowset`` and the position of ``flow_id`` in it.
 
-    The idle bound is 1 + sum over terms of
-    weight * ceil((I + release jitter + interference jitter) / period).
-    Upstream peers cross the injection switch once per packet plus once per
-    loop; the rest cross it only while looping, paying full length under
-    full-packet deflection but one header flit under header-only deflection.
+    Only windows depend on the mode, so readers of a row or a divergence
+    cap may leave it at its default.
     """
-    sets = flowset.interference_sets(flow_id)
-    loops = flowset.maxloops
-    terms: list[Term] = []
-    for fid in sets.upstream:
-        g = flowset.flow(fid)
-        terms.append((fid, (1 + loops[fid]) * g.length, g.period, g.jitter))
-    for fid in sets.deflected_only:
-        if loops[fid] == 0:
-            continue
-        g = flowset.flow(fid)
-        charge = g.length if mode is ProtocolMode.BASELINE else 1
-        terms.append((fid, loops[fid] * charge, g.period, g.jitter))
-    return terms
+    table = _Table(flowset, mode)
+    return table, table.at[flow_id]
 
 
-def _idle(terms: list[Term], jmap: JitterMap, cap: int) -> tuple[int | None, int]:
+def _idle(window: Window, jitter: list[int | None]) -> tuple[int | None, int]:
     """Least fixed point of the idle bound by ascending iteration from 1.
 
-    Returns (fixed point, steps taken), with None for the fixed point when
-    it passes ``cap`` or an interferer's jitter is unknown (then 0 steps).
+    ``jitter`` holds each flow's interference jitter by position.  Returns
+    (fixed point, steps taken), with None for the fixed point when it passes
+    the cap or an interferer's jitter is unknown (then 0 steps).
     """
-    window: list[tuple[int, int, int]] = []
-    for fid, weight, period, jitter in terms:
-        jk = jmap.get(fid, 0)
+    terms, cap = window
+    live: list[tuple[int, int, int]] = []
+    for pos, weight, period, offset in terms:
+        jk = jitter[pos]
         if jk is None:
             return None, 0
-        window.append((weight, period, jitter + jk + period - 1))
+        live.append((weight, period, offset + jk))
     value = 1
     steps = 0
     while True:
         steps += 1
-        nxt = 1 + sum(w * ((value + off) // t) for w, t, off in window)
+        # A loop, not sum() over a generator: windows hold a few terms.
+        nxt = 1
+        for weight, period, offset in live:
+            nxt += weight * ((value + offset) // period)
         if nxt == value:
             return value, steps
         if nxt > cap:
             return None, steps
         value = nxt
+
+
+def _queue(
+    row: _Row, idle: Sequence[int | None] | Mapping[int, int | None]
+) -> int | None:
+    """Wait behind injection-link sharers: their packets plus their idle waits.
+
+    ``idle`` holds the sharers' idle waits by position.
+    """
+    total = row.sharer_length
+    for pos in row.sharers:
+        wait = idle[pos]
+        if wait is None:
+            return None
+        total += wait
+    return total
+
+
+def _bound(fixed: int, idle: int | None, queue: int | None) -> int | None:
+    """The bound: the interference-free part plus the idle and queue waits."""
+    return None if idle is None or queue is None else fixed + idle + queue
+
+
+def divergence_cap(flowset: Flowset, flow_id: int) -> int:
+    """Busy-period size beyond which iteration gives up (``_Table.window``)."""
+    table, pos = _table_at(flowset, flow_id)
+    return table.window(pos)[1]
 
 
 def pre_injection_idle(
@@ -131,66 +249,44 @@ def pre_injection_idle(
     interference_jitter: JitterMap | None = None,
 ) -> int | None:
     """Worst-case wait at the head of the injection queue, or None if diverged."""
-    terms = _terms(flowset, flow_id, mode)
-    cap = divergence_cap(flowset, flow_id)
-    return _idle(terms, interference_jitter or {}, cap)[0]
+    table, pos = _table_at(flowset, flow_id, mode)
+    jmap = interference_jitter or {}
+    jitter = [jmap.get(f.flow_id, 0) for f in flowset.flows]
+    return _idle(table.window(pos), jitter)[0]
 
 
 def pre_injection_queue(
     flowset: Flowset, flow_id: int, idle_map: Mapping[int, int | None]
 ) -> int | None:
     """Wait behind injection-link sharers: their packets plus their idle waits."""
-    total = 0
-    for fid in flowset.interference_sets(flow_id).injection_sharers:
-        idle = idle_map[fid]
-        if idle is None:
-            return None
-        total += flowset.flow(fid).length + idle
-    return total
+    table, pos = _table_at(flowset, flow_id)
+    row = table.row(pos)
+    flows = flowset.flows
+    return _queue(row, {p: idle_map[flows[p].flow_id] for p in row.sharers})
 
 
 def post_injection(flowset: Flowset, flow_id: int) -> int:
-    """Worst-case buffering after injection, plus the flow's own loops.
-
-    Every downstream switch can hold the packet for a full buffer drain, and
-    each deflection adds one lap of the ring at one buffer delay per link.
-    """
-    ring_len = len(flowset.ring_of(flow_id))
-    buf = flowset.buffer_of(flow_id)
-    downstream = len(flowset.path_of(flow_id)) - 1
-    return downstream * buf + flowset.maxloops[flow_id] * ring_len * buf
-
-
-def _fixed(flowset: Flowset, flow_id: int) -> int:
-    """The part of the bound no interferer affects.
-
-    No-load latency, one ring crossing per own deflection, and
-    post-injection buffering; the bound adds the idle and queue waits.
-    """
-    loops = len(flowset.ring_of(flow_id)) * flowset.maxloops[flow_id]
-    return no_load_latency(flowset, flow_id) + loops + post_injection(flowset, flow_id)
+    """Worst-case buffering after injection, plus the flow's own loops."""
+    table, pos = _table_at(flowset, flow_id)
+    return table.row(pos).post
 
 
 @dataclass(frozen=True)
 class _Pass:
-    """One whole-set evaluation under one interference-jitter map."""
+    """One whole-set evaluation under one interference-jitter list.
 
-    jitter: dict[int, int | None]
-    idle: dict[int, int | None]
-    steps: dict[int, int]
-    queue: dict[int, int | None]
-    bounds: dict[int, int | None]
+    Every list is indexed by position in ``flowset.flows``.
+    """
+
+    jitter: list[int | None]
+    idle: list[int | None]
+    steps: list[int]
+    queue: list[int | None]
+    bounds: list[int | None]
     converged: bool
 
 
-def _bound(base: int, idle: int | None, queue: int | None) -> int | None:
-    """The bound: the interference-free part plus the idle and queue waits."""
-    return None if idle is None or queue is None else base + idle + queue
-
-
-def _passes(
-    flowset: Flowset, mode: ProtocolMode, first: tuple[dict, dict, dict] | None = None
-) -> Iterator[_Pass]:
+def _passes(table: _Table) -> Iterator[_Pass]:
     """Outer passes resolving interference jitter, one state per pass.
 
     Interference jitter of each flow is its bound minus its no-load latency
@@ -198,59 +294,48 @@ def _passes(
     is unchanged, or ``MAX_PASSES`` have run.  Diverged flows keep a None
     bound, which forces every flow depending on them to None as well, and
     never recover (passes are monotone), so the fixed point is reached.
-    ``first`` holds what is already known: (terms, cap) per flow, and pass
-    1's idle waits and steps.
+    Whatever ``table`` already holds is not built again.
     """
-    known, idle, steps = first or ({}, {}, {})
-    flows = [
-        (f.flow_id, known.get(f.flow_id)
-         or (_terms(flowset, f.flow_id, mode), divergence_cap(flowset, f.flow_id)))
-        for f in flowset
-    ]
-    fixed = {f.flow_id: _fixed(flowset, f.flow_id) for f in flowset}
-    no_load = {f.flow_id: no_load_latency(flowset, f.flow_id) for f in flowset}
-    jmap: dict[int, int | None] = {fid: 0 for fid in fixed}
-    prev: dict[int, int | None] | None = None
-    for _ in range(MAX_PASSES):
-        for fid, (terms, cap) in flows:
-            if fid not in idle:
-                idle[fid], steps[fid] = _idle(terms, jmap, cap)
-        queue: dict[int, int | None] = {}
-        bounds: dict[int, int | None] = {}
-        for fid, base in fixed.items():
-            queue[fid] = pre_injection_queue(flowset, fid, idle)
-            bounds[fid] = _bound(base, idle[fid], queue[fid])
+    positions = range(len(table.at))
+    rows = [table.row(pos) for pos in positions]
+    for pos in positions:
+        table.first_idle(pos)
+    windows = table.windows
+    jitter, idle, steps = table.zero, table.idle, table.steps
+    prev: list[int | None] | None = None
+    for number in range(MAX_PASSES):
+        if number:
+            idle, steps = [], []
+            for window in windows:
+                wait, taken = _idle(window, jitter)
+                idle.append(wait)
+                steps.append(taken)
+        queue = [_queue(row, idle) for row in rows]
+        bounds = [
+            _bound(row.fixed, wait, q) for row, wait, q in zip(rows, idle, queue)
+        ]
         converged = bounds == prev
-        yield _Pass(jmap, idle, steps, queue, bounds, converged)
+        yield _Pass(jitter, idle, steps, queue, bounds, converged)
         if converged:
             return
         prev = bounds
-        idle, steps = {}, {}
         # A bound is at least no-load latency plus one idle cycle, so the
         # jitter it hands on is positive.
-        jmap = {
-            fid: None if b is None else b - no_load[fid]
-            for fid, b in bounds.items()
-        }
+        jitter = [
+            None if b is None else b - row.no_load for b, row in zip(bounds, rows)
+        ]
 
 
-def _row(flowset: Flowset, flow_id: int, state: _Pass) -> FlowAnalysis:
-    """The flow's result as the pass ``state`` left it."""
-    flow = flowset.flow(flow_id)
-    bound = state.bounds[flow_id]
-    peers = flowset.interference_sets(flow_id).ring_peers
+def _row(table: _Table, pos: int, state: _Pass) -> FlowAnalysis:
+    """The result of the flow at ``pos`` as the pass ``state`` left it."""
+    flow = table.flowset.flows[pos]
+    row = table.rows[pos]
+    bound = state.bounds[pos]
+    # Positional, in field order: keywords cost more than the rest of the row.
     return FlowAnalysis(
-        flow_id=flow_id,
-        no_load=no_load_latency(flowset, flow_id),
-        pre_idle=state.idle[flow_id],
-        pre_queue=state.queue[flow_id],
-        post_injection=post_injection(flowset, flow_id),
-        bound=bound,
-        deadline=flow.deadline,
-        jitter_used=tuple((fid, state.jitter[fid]) for fid in peers),
-        schedulable=bound is not None and bound <= flow.deadline,
-        converged=bound is not None,
-        iterations=state.steps[flow_id],
+        flow.flow_id, row.no_load, state.idle[pos], state.queue[pos], row.post,
+        bound, flow.deadline, bound is not None and bound <= flow.deadline,
+        bound is not None, state.steps[pos],
     )
 
 
@@ -261,7 +346,8 @@ def response_time(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> FlowAna
     computed against the same jitter snapshot, so the result is independent
     of evaluation order.
     """
-    return _row(flowset, flow_id, next(_passes(flowset, mode)))
+    table, pos = _table_at(flowset, flow_id, mode)
+    return _row(table, pos, next(_passes(table)))
 
 
 def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
@@ -272,10 +358,11 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     then reported with ``converged=False`` and ``schedulable=False``.
     """
     start = time.perf_counter()
+    table = _Table(flowset, mode)
     passes = 0
-    for last in _passes(flowset, mode):
+    for last in _passes(table):
         passes += 1
-    flows = tuple(_row(flowset, f.flow_id, last) for f in flowset)
+    flows = tuple(_row(table, pos, last) for pos in range(len(table.at)))
     if not last.converged:
         flows = tuple(
             replace(fa, schedulable=False, converged=False) for fa in flows
@@ -295,38 +382,31 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     Sound because bounds rise monotonically across passes: one flow over its
     deadline in any pass stays over it at the fixed point.  A constant-time
     floor (idle wait of 1, one packet plus one idle cycle per sharer) screens
-    every flow; then pass 1's bounds are computed flow by flow, least floor
-    slack first, up to the first miss.  Every jitter is 0 in pass 1, so each
-    idle wait depends on its own flow alone and is computed once: these are
-    the bounds of pass 1 of ``_passes``, and their order cannot change the verdict.
-    A flowset with no pass-1 miss hands every flow's terms, cap and idle
-    wait to ``_passes``, which builds none of them again.
+    every flow from its row alone; then pass 1's bounds are computed flow by
+    flow, least floor slack first, up to the first miss.  Every jitter is 0
+    in pass 1, so each idle wait depends on its own flow alone and is
+    computed once: these are the bounds of pass 1 of ``_passes``, and their
+    order cannot change the verdict.  Both screens fill one table, which
+    ``_passes`` then completes, so no row or window is built twice.
     """
-    fixed: dict[int, int] = {}
-    slack: dict[int, int] = {}
-    for f in flowset:
-        fixed[f.flow_id] = _fixed(flowset, f.flow_id)
-        floor = fixed[f.flow_id] + 1
-        for fid in flowset.injection_sharers(f.flow_id):
-            floor += flowset.flow(fid).length + 1
+    table = _Table(flowset, mode)
+    flows = flowset.flows
+    slack: list[int] = []
+    for pos, f in enumerate(flows):
+        row = table.row(pos)
+        floor = row.fixed + 1 + row.sharer_length + len(row.sharers)
         if floor > f.deadline:
             return False
-        slack[f.flow_id] = f.deadline - floor
-    known: dict[int, tuple[list[Term], int]] = {}
-    idle: dict[int, int | None] = {}
-    steps: dict[int, int] = {}
-    for fid in sorted(slack, key=slack.__getitem__):  # ties keep flow order
-        for g in (fid, *flowset.injection_sharers(fid)):
-            if g not in known:
-                terms, cap = _terms(flowset, g, mode), divergence_cap(flowset, g)
-                known[g] = terms, cap
-                idle[g], steps[g] = _idle(terms, {}, cap)
-        b = _bound(fixed[fid], idle[fid], pre_injection_queue(flowset, fid, idle))
-        if b is None or b > flowset.flow(fid).deadline:
+        slack.append(f.deadline - floor)
+    for pos in sorted(range(len(flows)), key=slack.__getitem__):  # ties keep flow order
+        row = table.rows[pos]
+        for p in row.sharers:
+            table.first_idle(p)
+        b = _bound(row.fixed, table.first_idle(pos), _queue(row, table.idle))
+        if b is None or b > flows[pos].deadline:
             return False
-    for state in _passes(flowset, mode, (known, idle, steps)):
-        for f in flowset:
-            b = state.bounds[f.flow_id]
+    for state in _passes(table):
+        for f, b in zip(flows, state.bounds):
             if b is None or b > f.deadline:
                 return False
         if state.converged:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from statistics import fmean
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
@@ -286,8 +286,10 @@ def improvement_report(
         rng = random.Random(f"{seed}:mapping:{mapping_id}")
         cores = rng.sample(range(n_cores), len(endpoints))
         placement = dict(zip(endpoints, cores))
+        # A direct build costs a third of ``dataclasses.replace``.
         remapped = [
-            replace(f, src=placement[f.src], dst=placement[f.dst])
+            Flow(f.flow_id, f.period, f.deadline, f.length, f.jitter,
+                 placement[f.src], placement[f.dst], f.maxloop)
             for f in traffic
         ]
         flowset = Flowset(topology, remapped)

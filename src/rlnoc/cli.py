@@ -63,6 +63,16 @@ def _packet_range(arg: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _count(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {arg!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _out_dir(args: argparse.Namespace) -> str:
     out = args.out_dir or os.environ.get("RLNOC_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
@@ -223,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-flowset", help="write a random flowset")
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--flows", type=int, required=True)
+    p.add_argument("--flows", type=_count, required=True)
     p.add_argument("--packet-range", type=_packet_range, default=(16, 48))
     p.add_argument("--maxloop", type=int, default=None)
     p.add_argument("--seed", default="0")
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("improve", help="placement improvement study")
     p.add_argument("--traffic", default=sample_traffic_path())
     p.add_argument("--grid", type=int, default=4)
-    p.add_argument("--mappings", type=int, default=100)
+    p.add_argument("--mappings", type=_count, default=100)
     p.add_argument("--seed", default="0")
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_improve)

@@ -8,6 +8,8 @@ precompiled weight list) and finds the fixed point by linear scan.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -429,6 +431,77 @@ class TestAnalyze:
                 else:
                     seen.add("later pass")
         assert seen == {"floor", "pass 1", "later pass", "accept", "sharer diverged"}
+
+
+def _renumbered(fs: Flowset, ids) -> Flowset:
+    """``fs``'s flows in the same order under new ids, each keeping its budget."""
+    return Flowset(fs.topology, [
+        dataclasses.replace(f, flow_id=i, maxloop=fs.maxloops[f.flow_id])
+        for f, i in zip(fs.flows, ids)
+    ])
+
+
+class TestPositionIsNotId:
+    """The analysis names flows by position; ids must not leak into it.
+
+    Each flowset is compared with itself renumbered 0..n-1 in the same
+    order, once under sparse shuffled ids and once under the reversed ids
+    n-1..0, where an id read as a position lands on another real flow.
+    """
+
+    FIELDS = ("bound", "pre_idle", "pre_queue", "iterations", "converged",
+              "schedulable", "no_load", "post_injection")
+
+    @staticmethod
+    def _id_sets(rng: random.Random, n: int):
+        return rng.sample(range(10 * n), n), list(range(n - 1, -1, -1))
+
+    def test_analyze_and_quick_verdict(self):
+        rng = random.Random("ids")
+        cases = [_random_flowset(rng, n_flows=rng.randint(2, 14))
+                 for _ in range(20)]
+        cases += itertools.islice(_sweep_sized_draws(), 12)
+        verdicts = set()
+        for fs in cases:
+            dense = _renumbered(fs, range(len(fs)))
+            for ids in self._id_sets(rng, len(fs)):
+                moved = _renumbered(fs, ids)
+                for mode in (BASE, PROP):
+                    want, got = analyze(dense, mode), analyze(moved, mode)
+                    assert [fa.flow_id for fa in got.flows] == ids
+                    assert got.passes == want.passes
+                    for w, g in zip(want.flows, got.flows):
+                        for field in self.FIELDS:
+                            assert getattr(g, field) == getattr(w, field), field
+                    verdict = quick_verdict(moved, mode)
+                    assert verdict == quick_verdict(dense, mode) == want.schedulable
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_single_flow_entry_points(self):
+        rng = random.Random("ids-one")
+        for _ in range(10):
+            fs = _random_flowset(rng, n_flows=rng.randint(2, 10))
+            dense = _renumbered(fs, range(len(fs)))
+            for ids in self._id_sets(rng, len(fs)):
+                moved = _renumbered(fs, ids)
+                idle = {i: pre_injection_idle(moved, i, PROP) for i in ids}
+                jitter = {i: rng.randint(0, 500) for i in ids}
+                by_pos = {p: jitter[i] for p, i in enumerate(ids)}
+                for pos, i in enumerate(ids):
+                    assert (pre_injection_idle(moved, i, BASE, jitter)
+                            == pre_injection_idle(dense, pos, BASE, by_pos))
+                    assert divergence_cap(moved, i) == divergence_cap(dense, pos)
+                    assert post_injection(moved, i) == post_injection(dense, pos)
+                    assert idle[i] == pre_injection_idle(dense, pos, PROP)
+                    assert pre_injection_queue(moved, i, idle) == pre_injection_queue(
+                        dense, pos, {p: idle[ids[p]] for p in range(len(ids))}
+                    )
+                    for mode in (BASE, PROP):
+                        got = response_time(moved, i, mode)
+                        want = response_time(dense, pos, mode)
+                        assert got.flow_id == i
+                        assert got == dataclasses.replace(want, flow_id=i)
 
 
 @st.composite

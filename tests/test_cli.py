@@ -91,6 +91,18 @@ class TestGenCommands:
         assert "maxloop" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_gen_flowset_flow_count_below_one_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "fs.json"
+        for flows in ("-2", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([
+                    "gen-flowset", "--grid", "4", "--flows", flows,
+                    "--out", str(out),
+                ])
+            assert exc.value.code == 2
+            assert "argument --flows: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "fs.json"
         rc = cli.main([
@@ -335,6 +347,18 @@ class TestImproveCommand:
         )
         assert lines[0] == "mapping_id,flow_id,R_base,R_prop,improvement_pct"
         assert len(lines) == 1 + 3 * 39
+
+    def test_mapping_count_below_one_exit_two(self, tmp_path, capsys):
+        for mappings in ("-3", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([
+                    "improve", "--mappings", mappings,
+                    "--out-dir", str(tmp_path),
+                ])
+            assert exc.value.code == 2
+            assert ("argument --mappings: must be at least 1"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "improvement.csv").exists()
 
     def test_unmappable_traffic_exit_two(self, tmp_path, capsys):
         rc = cli.main([

@@ -6,7 +6,8 @@ were merged into one driver, the simulation case before the simulator's
 state was rebuilt around one flit-range record, the mixed-budget case before
 flows stopped carrying their derived ring and budget, the jittered hotspot
 case before the simulator numbered its ports and let each flit carry its
-packet).  A change that alters any of these bytes changes a result, not just
+packet, the 9x9 improvement case before the analysis built each flow's
+bound inputs into one position-indexed table).  A change that alters any of these bytes changes a result, not just
 its speed.
 """
 import hashlib
@@ -25,6 +26,9 @@ SWEEP_CONFIG = {
 GOLDEN = {
     "sweep.csv": "e06051faa9fec530ed3c5b609ea4a0947c98826331eec01f048699b39afcb7e4",
     "improvement.csv": "4dc2771a4bc716606549128b9b104810a5bda97fd514e6aedbd559dc7158dcd7",
+    # 9x9, 10 mappings of the shipped traffic: the largest grid the
+    # placement study covers.
+    "improvement_9x9.csv": "8c9844116421eedf4d76564b0fed0236dd15734ea5b6129c8d38850e74aeebdd",
     "fs.json": "df008fa2e3ca5f622652938cc62ab1b6e232e3334e1e7f5e2a1f9bc36de322aa",
     "report.csv": "23c664879d94e46635cd32eb5f4cad66520572f7f79c61032e54e073ed8ca26d",
     # 4x4, 100 flows, maxloop 2: every baseline flow diverges and 14
@@ -80,13 +84,21 @@ def test_sweep_csv_bytes(tmp_path):
     assert _sha256(tmp_path / "sweep.csv") == GOLDEN["sweep.csv"]
 
 
-def test_improvement_csv_bytes(tmp_path):
+def _improve(tmp_path, grid):
     rc = cli.main([
-        "improve", "--grid", "4", "--mappings", "10",
+        "improve", "--grid", grid, "--mappings", "10",
         "--out-dir", str(tmp_path),
     ])
     assert rc == 0
-    assert _sha256(tmp_path / "improvement.csv") == GOLDEN["improvement.csv"]
+    return _sha256(tmp_path / "improvement.csv")
+
+
+def test_improvement_csv_bytes(tmp_path):
+    assert _improve(tmp_path, "4") == GOLDEN["improvement.csv"]
+
+
+def test_improvement_9x9_csv_bytes(tmp_path):
+    assert _improve(tmp_path, "9") == GOLDEN["improvement_9x9.csv"]
 
 
 def _gen_and_analyze(tmp_path, grid, flows, maxloop):
