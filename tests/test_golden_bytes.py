@@ -7,14 +7,22 @@ state was rebuilt around one flit-range record, the mixed-budget case before
 flows stopped carrying their derived ring and budget, the jittered hotspot
 case before the simulator numbered its ports and let each flit carry its
 packet, the 9x9 improvement case before the analysis built each flow's
-bound inputs into one position-indexed table).  A change that alters any of these bytes changes a result, not just
-its speed.
+bound inputs into one position-indexed table, the drops stress case before
+the simulator's per-cycle phases became one loop).  A change that alters any
+of these bytes changes a result, not just its speed.
 """
 import hashlib
+import io
 import json
 import random
 
+import pytest
+
 import rlnoc.cli as cli
+from rlnoc import sim
+from rlnoc.analysis import ProtocolMode
+from rlnoc.files import write_trace_csv
+from rlnoc.model import Flow, Flowset, generate_rlrec
 
 SWEEP_CONFIG = {
     "grids": [4],
@@ -201,3 +209,48 @@ def test_jittered_hotspot_simulation_bytes(tmp_path):
             name = f"{kind}_{mode}.csv"
             assert (_sha256(tmp_path / name)
                     == GOLDEN[f"{kind}_hotspot_{mode}.csv"]), name
+
+
+# (mode, pattern) -> (flit-hops, retention drops, trace.csv SHA-256) for
+# _drops_flowset at horizon 3000, seed "0".
+STRESS = {
+    ("baseline", "periodic"): (78412, 0, "de9321556fdfa90b55cecba2f08031a09814cc50c7a885e144c021eacdfc3849"),
+    ("baseline", "sporadic"): (9771, 0, "e45932a85a48e41dbd6e392d0d255ae24cdde3449f9ece269b4ca0bcf21804b9"),
+    ("baseline", "jitter"): (76032, 0, "b7651e66d143cb73102792932abe5ad1c1f8251347f26795f2902767db6597ef"),
+    ("baseline", "synchronous"): (74985, 0, "55f6f16659c9fc0173c35bd57f2ef68cec4433deb48ad257050efc53defdcc68"),
+    ("proposed", "periodic"): (24930, 15, "12ccbf633d976991a200a6ae1effb96665944fef939b0c58ee09953a67790bee"),
+    ("proposed", "sporadic"): (9022, 0, "3a127f3d91f2fc01080ee34fb201f85384379aff69cf52135d45fb3db986c719"),
+    ("proposed", "jitter"): (31290, 42, "483ba5bbeafc20a6f126ce98f80b8b6e7c58d7727c1a5c260b59c045ac23f551"),
+    ("proposed", "synchronous"): (23294, 8, "0ebe14d95caf8528e86429a34065e37eaa4e1eeb39cb482ebd038d2182c7fbf7"),
+}
+
+
+def _drops_flowset() -> Flowset:
+    """4x4 flowset of 16 short-period flows of 2-4 flits into 2 hot cores."""
+    rng = random.Random("drops-0")
+    hot = rng.sample(range(16), 2)
+    flows = []
+    for i in range(16):
+        dst = rng.choice(hot)
+        src = rng.choice([c for c in range(16) if c != dst])
+        period = rng.randint(20, 80)
+        flows.append(Flow(i, period, period, rng.randint(2, 4),
+                          rng.randint(0, period // 2), src, dst))
+    return Flowset(generate_rlrec(4, 4), flows)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "proposed"])
+@pytest.mark.parametrize("pattern", ["periodic", "sporadic", "jitter",
+                                     "synchronous"])
+def test_drops_stress_simulation(mode, pattern):
+    """Overloaded hot cores: buffers fill up to 4 flits, baseline ejection
+    arbitrates among several headers more than 1,200 times, and proposed
+    mode drops returning headers whose payload was evicted."""
+    trace = sim.run(_drops_flowset(), ProtocolMode(mode),
+                    cli._PATTERNS[pattern](), horizon=3000, seed="0",
+                    protocol_check=True)
+    out = io.StringIO(newline="")
+    write_trace_csv(out, trace)
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert (trace.flit_hops, trace.retention_violations, digest) == STRESS[
+        (mode, pattern)]
