@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="schedulability-ratio study")
     p.add_argument("--config", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--out-dir", default=None)
     p.set_defaults(func=_cmd_sweep)
 

@@ -192,21 +192,17 @@ def load_sweep_config(path: str) -> SweepConfig:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+_BOOL = ("false", "true")  # a bool column's text, indexed by the bool
 
 
 def _write_csv(target: str | IO[str], header: Sequence[str],
                rows: Iterable[Sequence[Any]]) -> None:
+    """Write the rows as given; the csv module writes None as an empty
+    field, and callers spell their bool columns with ``_BOOL``."""
     def emit(fh: IO[str]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as fh:
@@ -223,7 +219,7 @@ def write_report_csv(target: str | IO[str],
             rows.append((
                 fa.flow_id, report.mode.value, fa.no_load, fa.pre_idle,
                 fa.pre_queue, fa.post_injection, fa.bound, fa.deadline,
-                fa.schedulable, fa.iterations, fa.converged,
+                _BOOL[fa.schedulable], fa.iterations, _BOOL[fa.converged],
             ))
     _write_csv(target, REPORT_COLUMNS, rows)
 
@@ -231,7 +227,7 @@ def write_report_csv(target: str | IO[str],
 def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:
     rows = [
         (r.flow_id, r.seq, r.release, r.inject_start, r.eject_end,
-         r.deflections, r.latency, r.violated)
+         r.deflections, r.latency, _BOOL[r.violated])
         for r in trace.records
     ]
     _write_csv(target, TRACE_COLUMNS, rows)

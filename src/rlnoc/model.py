@@ -221,8 +221,6 @@ class InterferenceSets:
     """Flow ids that can delay a given flow, by mechanism.
 
     ring_peers: flows sharing the ring (the whole interference domain).
-    injection_sharers: flows injected at the same switch, any ring; they
-        compete for the switch's single injection link.
     upstream: ring peers whose source-to-destination path crosses the
         flow's source switch; their packets pass it even when never
         deflected.
@@ -231,7 +229,6 @@ class InterferenceSets:
     """
 
     ring_peers: tuple[int, ...]
-    injection_sharers: tuple[int, ...]
     upstream: tuple[int, ...]
     deflected_only: tuple[int, ...]
 
@@ -325,7 +322,8 @@ class Flowset:
         return self._place[flow_id][2]
 
     def injection_sharers(self, flow_id: int) -> tuple[int, ...]:
-        """The other flows injected at the flow's source switch."""
+        """The other flows injected at the flow's source switch, any ring;
+        they compete for the switch's single injection link."""
         return tuple(g for g in self._by_src[self._place[flow_id][1]] if g != flow_id)
 
     def with_maxloop(self, maxloop: int) -> "Flowset":
@@ -359,7 +357,6 @@ class Flowset:
                 deflected.append(g)
         sets = InterferenceSets(
             ring_peers=tuple(peers),
-            injection_sharers=self.injection_sharers(flow_id),
             upstream=tuple(upstream),
             deflected_only=tuple(deflected),
         )

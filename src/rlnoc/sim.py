@@ -248,6 +248,18 @@ class _Simulator:
             self.port_ring.extend([ring.ring_id] * n)
             self.next_port.extend(base + (i + 1) % n for i in range(n))
             self.port_cap.extend([flowset.ring_buffers[ring.ring_id]] * n)
+        # ``run`` reads a taken slot in the next cycle's arrivals as proof
+        # that the one port feeding it has sent, so no two ports may share a
+        # successor.
+        fed: set[int] = set()
+        for nxt in self.next_port:
+            if nxt in fed:
+                ring = self.port_ring[nxt]
+                raise SimInvariantError(
+                    f"two flits on one link: ring {ring} position "
+                    f"{nxt - self.ring_base[ring]}"
+                )
+            fed.add(nxt)
 
         # flow id -> (length, source port, destination switch, ring)
         self.flow_facts: dict[int, tuple[int, int, int, int]] = {}
@@ -273,259 +285,239 @@ class _Simulator:
                     f"overlap itself"
                 )
 
-        # Mutable network state, keyed by port or switch.  Buffers and
-        # queues hold only non-empty entries: an entry is deleted when it
-        # empties.
-        self.buffers: dict[int, list[Flit]] = {}
-        # port -> the injection or re-injection holding that output.
-        self.claims: dict[int, _Run] = {}
-        self.ejecting: dict[int, _Run] = {}  # switch -> packet on its link
-        self.discarding: dict[int, _Run] = {}  # port -> payload absorbed there
-        # switch -> deflected packets that hold a reservation on its link
-        self.pending: dict[int, set[_Packet]] = {}
-        # The origin still retains a deflected packet's payload exactly when
-        # it is its flow's last released packet.
-        self.last_released: dict[int, _Packet] = {}
-        self.queues: dict[int, list[_Packet]] = {}  # switch -> packets
-        self.inj_busy_until = [0] * top.n_switches
-        self.records: list[PacketRecord] = []  # in release order
-
-        self.flit_hops = 0
-        self.retention_violations = 0
-        self.injected_flits = 0
-        self.consumed_flits = 0  # ejected + discarded + dropped
-
-    # -- helpers -----------------------------------------------------------
-
-    def _deflect(self, port: int, packet: _Packet) -> None:
-        """Header denied ejection; register it and set up mode-specific state."""
-        packet.record.deflections += 1
-        self.pending.setdefault(packet.dst_switch, set()).add(packet)
-        if self.mode is ProtocolMode.PROPOSED and packet.length > 1:
-            packet.flagged = True
-            # Absorb the payload flits trailing the header as they arrive.
-            self.discarding[port] = _Run(packet, 1, packet.length)
-
-    def _drop(self, packet: _Packet) -> None:
-        """Retention gone: absorb the returning header, clear state."""
-        packet.record.dropped = True
-        packet.flagged = False
-        self.retention_violations += 1
-        self.consumed_flits += 1
-        pend = self.pending.get(packet.dst_switch)
-        if pend:
-            pend.discard(packet)
-
-    # -- per-cycle phases --------------------------------------------------
-
-    def _arrive(self, cycle: int, arrivals: dict[int, Flit]) -> dict[int, Flit]:
-        """Consume or classify every arriving flit; returns forward candidates."""
-        port_switch = self.port_switch
-        ejecting, discarding = self.ejecting, self.discarding
-        forward: dict[int, Flit] = {}
-        eject_wanting: dict[int, list[tuple[int, Flit]]] = {}
-        hops = consumed = 0
-        for port, flit in arrivals.items():
-            packet, idx = flit
-            switch = port_switch[port]
-            ej = ejecting.get(switch)
-            if ej is not None and ej.packet is packet and idx > 0:
-                if idx != ej.next_idx:
-                    rec = packet.record
-                    raise SimInvariantError(
-                        f"out-of-order ejection flit {(rec.flow_id, rec.seq, idx)} "
-                        f"at switch {switch}"
-                    )
-                ej.next_idx += 1
-                hops += 1
-                consumed += 1
-                if ej.next_idx == ej.end:
-                    packet.record.eject_end = cycle
-                    del ejecting[switch]
-                continue
-            dis = discarding.get(port)
-            if dis is not None and dis.packet is packet and idx == dis.next_idx:
-                dis.next_idx += 1
-                consumed += 1
-                if dis.next_idx == dis.end:
-                    del discarding[port]
-                continue
-            if idx == 0:
-                if packet.flagged and port == packet.src_port:
-                    if self.last_released[packet.record.flow_id] is packet:
-                        forward[port] = flit
-                    else:
-                        self._drop(packet)
-                    continue
-                if switch == packet.dst_switch and not packet.flagged:
-                    eject_wanting.setdefault(switch, []).append((port, flit))
-                    continue
-            forward[port] = flit
-
-        for switch, cands in eject_wanting.items():
-            cands.sort(key=lambda c: c[1][0].key)
-            granted = switch in ejecting
-            pend = self.pending.setdefault(switch, set())
-            for port, flit in cands:
-                packet = flit[0]
-                own = packet.key
-                older = any(p.key < own for p in pend if p is not packet)
-                if not granted and not older:
-                    granted = True
-                    hops += 1
-                    consumed += 1
-                    pend.discard(packet)
-                    if packet.length == 1:
-                        packet.record.eject_end = cycle
-                    else:
-                        ejecting[switch] = _Run(packet, 1, packet.length)
-                else:
-                    self._deflect(port, packet)
-                    forward[port] = flit
-        self.flit_hops += hops
-        self.consumed_flits += consumed
-        return forward
-
-    def _emit(self, cycle: int, forward: dict[int, Flit]) -> dict[int, Flit]:
-        """Resolve every active output port once; returns next cycle's arrivals.
-
-        The order of the ports does not matter.  A port reads and writes only
-        its own claim, buffer and forward candidate and its successor's
-        arrival slot, which no other port feeds.  It pops its switch's
-        injection queue only when the head packet belongs to it, and
-        ``inj_busy_until`` then blocks a second injection at that switch in
-        the same cycle, whichever port is resolved first.
-        """
-        claims, buffers = self.claims, self.buffers
-        next_port, port_cap = self.next_port, self.port_cap
-        active = set(forward)
-        active.update(claims)
-        active.update(buffers)
-        for queue in self.queues.values():
-            active.add(queue[0].src_port)
-
-        arrivals: dict[int, Flit] = {}
-        hops = injected = 0
-        for port in active:
-            incoming = forward.get(port)
-            claim = claims.get(port)
-            buf = buffers.get(port)
-            if claim is not None:
-                flit = (claim.packet, claim.next_idx)
-                claim.next_idx += 1
-                hops += claim.hops
-                injected += 1
-                if claim.next_idx == claim.end:
-                    del claims[port]
-            elif buf is not None:
-                flit = buf.pop(0)
-                hops += 1
-            elif incoming is not None:
-                flit, incoming = incoming, None
-                hops += 1
-            else:
-                self._try_inject(cycle, port)
-                continue
-            if incoming is not None:  # the output is taken: buffer the arrival
-                if buf is None:
-                    buf = buffers[port] = []
-                buf.append(incoming)
-                if len(buf) > port_cap[port]:
-                    raise SimInvariantError(
-                        f"buffer overflow at switch {self.port_switch[port]} "
-                        f"ring {self.port_ring[port]}"
-                    )
-            elif buf is not None and not buf:
-                del buffers[port]
-            packet, idx = flit
-            # A flagged header reaches its origin's output only when the
-            # payload was still retained there; otherwise it was dropped on
-            # arrival.  The retained payload streams out right behind it.
-            if idx == 0 and packet.flagged and port == packet.src_port:
-                packet.flagged = False
-                claims[port] = _Run(packet, 1, packet.length)
-            nxt = next_port[port]
-            if nxt in arrivals:
-                ring = self.port_ring[nxt]
-                raise SimInvariantError(
-                    f"two flits on one link: ring {ring} position "
-                    f"{nxt - self.ring_base[ring]}"
-                )
-            arrivals[nxt] = flit
-        self.flit_hops += hops
-        self.injected_flits += injected
-        return arrivals
-
-    def _try_inject(self, cycle: int, port: int) -> None:
-        # Called only for a port with nothing to send, so its buffer is empty.
-        switch = self.port_switch[port]
-        queue = self.queues.get(switch)
-        if queue is None or queue[0].src_port != port:
-            return
-        if cycle < self.inj_busy_until[switch]:
-            return
-        packet = queue.pop(0)
-        if not queue:
-            del self.queues[switch]
-        packet.key = (cycle, packet.ring, packet.record.flow_id)
-        packet.record.inject_start = cycle
-        self.claims[port] = _Run(packet, 0, packet.length, hops=2)
-        self.inj_busy_until[switch] = cycle + packet.length
-
-    def _check_conservation(self, arrivals: dict[int, Flit]) -> None:
-        # A flit is injected when it first crosses a link and consumed when
-        # ejected, discarded, or dropped.  In between it sits on a link
-        # (next cycle's arrivals) or in a ring buffer.
-        in_flight = len(arrivals) + sum(map(len, self.buffers.values()))
-        if self.injected_flits != self.consumed_flits + in_flight:
-            raise SimInvariantError(
-                f"flit conservation broken: {self.injected_flits} injected, "
-                f"{self.consumed_flits} consumed, {in_flight} in flight"
-            )
-
-    # -- main loop ---------------------------------------------------------
-
     def run(self, pattern: ReleasePattern, horizon: int, seed: str) -> SimTrace:
+        """Run cycles from 0 until the horizon, or until the network idles
+        with nothing left to release.
+
+        Each cycle releases packets into their switch's injection queue,
+        consumes or classifies every arriving flit, arbitrates each ejection
+        link among the headers that reached it, and then resolves the ring
+        output ports by precedence: a port sends its claim (an injection or
+        a re-injection), else its buffer's head, else the flit passing
+        through, else the head of its switch's injection queue.  An arriving
+        flit passes straight through only when its port holds no claim and
+        no buffered flit; otherwise it joins the port's buffer.  Every port
+        feeds one successor, so a port has sent this cycle exactly when its
+        successor's slot in the next cycle's arrivals is taken, and no group
+        needs a list of active ports.
+
+        The order of ports within a group cannot change a trace.  A port
+        reads and writes only its own claim, buffer and discard run, its
+        successor's slot and its switch's injection queue; it starts an
+        injection only when it sends nothing else, and ``inj_busy_until``
+        then blocks a second injection at that switch in the same cycle.
+        Ejections and reservations change only before any port sends, and
+        each ejection link is arbitrated after every arrival of the cycle,
+        among its headers sorted oldest first.
+
+        A returning flagged header whose payload is still retained always
+        leaves its origin through that port's buffer.  It makes its
+        re-injection claim in one place: where the buffer group sends it.
+        An admission check on re-injection belongs there.
+        """
         schedule: list[tuple[int, int, int]] = []  # (time, flow_id, seq)
         for f in self.fs:
             for seq, t in enumerate(pattern.release_times(f, horizon, seed)):
                 schedule.append((t, f.flow_id, seq))
         schedule.sort()
+        schedule.append((horizon, -1, -1))  # never released
         ptr = 0
 
+        port_switch, next_port = self.port_switch, self.next_port
+        port_cap, flow_facts = self.port_cap, self.flow_facts
+        proposed = self.mode is ProtocolMode.PROPOSED
+        check = self.protocol_check
+        # Mutable network state, keyed by port or switch.  Buffers and
+        # queues hold only non-empty entries: an entry is deleted when it
+        # empties.
+        buffers: dict[int, list[Flit]] = {}
+        # port -> the injection or re-injection holding that output.
+        claims: dict[int, _Run] = {}
+        ejecting: dict[int, _Run] = {}  # switch -> packet on its link
+        discarding: dict[int, _Run] = {}  # port -> payload absorbed there
+        # switch -> deflected packets that hold a reservation on its link
+        pending: dict[int, set[_Packet]] = {}
+        # The origin still retains a deflected packet's payload exactly when
+        # it is its flow's last released packet.
+        last_released: dict[int, _Packet] = {}
+        queues: dict[int, list[_Packet]] = {}  # switch -> packets
+        inj_busy_until = [0] * self.fs.topology.n_switches
+        records: list[PacketRecord] = []  # in release order
+        hops = drops = injected = 0
+        consumed = 0  # ejected + discarded + dropped
+
+        held: list[tuple[int, Flit]] = []  # (port, flit) joining a buffer
         arrivals: dict[int, Flit] = {}
         cycle = 0
         while cycle < horizon:
-            if not (arrivals or self.claims or self.ejecting or self.discarding
-                    or self.buffers or self.queues):
-                if ptr >= len(schedule):
-                    break
+            if not (arrivals or claims or ejecting or discarding or buffers
+                    or queues):
                 cycle = max(cycle, schedule[ptr][0])
                 if cycle >= horizon:
                     break
-            while ptr < len(schedule) and schedule[ptr][0] == cycle:
+            while schedule[ptr][0] == cycle:
                 _, fid, seq = schedule[ptr]
                 ptr += 1
-                packet = _Packet(PacketRecord(fid, seq, cycle), self.flow_facts[fid])
-                self.records.append(packet.record)
-                switch = self.port_switch[packet.src_port]
-                self.queues.setdefault(switch, []).append(packet)
+                packet = _Packet(PacketRecord(fid, seq, cycle), flow_facts[fid])
+                records.append(packet.record)
+                queues.setdefault(port_switch[packet.src_port], []).append(packet)
                 # Releasing a packet evicts the flow's retained payload.
-                self.last_released[fid] = packet
-            forward = self._arrive(cycle, arrivals)
-            arrivals = self._emit(cycle, forward)
-            if self.protocol_check:
-                self._check_conservation(arrivals)
+                last_released[fid] = packet
+
+            sent: dict[int, Flit] = {}  # next cycle's arrivals
+            wanting: dict[int, list] | None = None  # switch -> headers
+            for port, flit in arrivals.items():
+                packet, idx = flit
+                if idx:
+                    ej = ejecting and ejecting.get(port_switch[port])
+                    if ej and ej.packet is packet:
+                        if idx != ej.next_idx:
+                            rec = packet.record
+                            raise SimInvariantError(
+                                f"out-of-order ejection flit "
+                                f"{(rec.flow_id, rec.seq, idx)} "
+                                f"at switch {port_switch[port]}"
+                            )
+                        ej.next_idx += 1
+                        hops += 1
+                        consumed += 1
+                        if ej.next_idx == ej.end:
+                            packet.record.eject_end = cycle
+                            del ejecting[port_switch[port]]
+                        continue
+                    dis = discarding and discarding.get(port)
+                    if dis and dis.packet is packet and idx == dis.next_idx:
+                        dis.next_idx += 1
+                        consumed += 1
+                        if dis.next_idx == dis.end:
+                            del discarding[port]
+                        continue
+                elif not packet.flagged:
+                    switch = port_switch[port]
+                    if switch == packet.dst_switch:
+                        if wanting is None:
+                            wanting = {}
+                        wanting.setdefault(switch, []).append(
+                            (packet.key, port, flit))
+                        continue
+                elif port == packet.src_port:
+                    if last_released[packet.record.flow_id] is packet:
+                        held.append((port, flit))
+                    else:  # retention gone: absorb the returning header
+                        packet.record.dropped = True
+                        packet.flagged = False
+                        drops += 1
+                        consumed += 1
+                        pend = pending.get(packet.dst_switch)
+                        if pend:
+                            pend.discard(packet)
+                    continue
+                if port in claims or port in buffers:
+                    held.append((port, flit))
+                else:
+                    sent[next_port[port]] = flit
+                    hops += 1
+
+            if wanting is not None:  # Oldest-First ejection arbitration
+                for switch, cands in wanting.items():
+                    cands.sort()
+                    granted = switch in ejecting
+                    pend = pending.setdefault(switch, set())
+                    for own, port, flit in cands:
+                        packet = flit[0]
+                        if not granted and not any(
+                                p.key < own for p in pend if p is not packet):
+                            granted = True
+                            hops += 1
+                            consumed += 1
+                            pend.discard(packet)
+                            if packet.length == 1:
+                                packet.record.eject_end = cycle
+                            else:
+                                ejecting[switch] = _Run(packet, 1, packet.length)
+                            continue
+                        packet.record.deflections += 1
+                        pend.add(packet)
+                        if proposed and packet.length > 1:
+                            packet.flagged = True
+                            # Absorb the payload trailing the header.
+                            discarding[port] = _Run(packet, 1, packet.length)
+                        held.append((port, flit))
+
+            if held:
+                for port, flit in held:
+                    buf = buffers.setdefault(port, [])
+                    buf.append(flit)
+                    # A port without a claim sends its buffer's head below.
+                    if len(buf) > port_cap[port] and port in claims:
+                        raise SimInvariantError(
+                            f"buffer overflow at switch {port_switch[port]} "
+                            f"ring {self.port_ring[port]}"
+                        )
+                held.clear()
+
+            for port, claim in list(claims.items()) if claims else ():
+                sent[next_port[port]] = (claim.packet, claim.next_idx)
+                claim.next_idx += 1
+                hops += claim.hops
+                injected += 1
+                if claim.next_idx == claim.end:
+                    del claims[port]
+
+            for port, buf in list(buffers.items()) if buffers else ():
+                nxt = next_port[port]
+                if nxt in sent:  # the port's claim holds the link
+                    continue
+                flit = buf.pop(0)
+                if not buf:
+                    del buffers[port]
+                sent[nxt] = flit
+                hops += 1
+                packet = flit[0]
+                # A flagged header reaches its origin's output only when the
+                # payload was still retained there; otherwise it was dropped
+                # on arrival.  The retained payload streams out behind it.
+                if not flit[1] and packet.flagged and port == packet.src_port:
+                    packet.flagged = False
+                    claims[port] = _Run(packet, 1, packet.length)
+
+            for switch, queue in list(queues.items()) if queues else ():
+                if cycle < inj_busy_until[switch]:
+                    continue
+                packet = queue[0]
+                port = packet.src_port
+                if next_port[port] in sent:  # the port sends something else
+                    continue
+                del queue[0]
+                if not queue:
+                    del queues[switch]
+                packet.key = (cycle, packet.ring, packet.record.flow_id)
+                packet.record.inject_start = cycle
+                claims[port] = _Run(packet, 0, packet.length, hops=2)
+                inj_busy_until[switch] = cycle + packet.length
+
+            arrivals = sent
+            if check:
+                # A flit is injected when it first crosses a link and
+                # consumed when ejected, discarded, or dropped.  In between
+                # it sits on a link (next cycle's arrivals) or in a buffer.
+                in_flight = len(arrivals) + sum(map(len, buffers.values()))
+                if injected != consumed + in_flight:
+                    raise SimInvariantError(
+                        f"flit conservation broken: {injected} injected, "
+                        f"{consumed} consumed, {in_flight} in flight"
+                    )
             cycle += 1
 
-        return self._trace(horizon, seed)
+        return self._trace(records, horizon, seed, hops, drops)
 
-    def _trace(self, horizon: int, seed: str) -> SimTrace:
+    def _trace(self, records: list[PacketRecord], horizon: int, seed: str,
+               flit_hops: int, drops: int) -> SimTrace:
         # Records were made in schedule order: by release, flow id and seq.
         max_latency: dict[int, int] = {}
         max_deflections: dict[int, int] = {}
         violations = 0
-        for rec in self.records:
+        for rec in records:
             bound = self.bounds.get(rec.flow_id)
             if rec.delivered:
                 max_latency[rec.flow_id] = max(
@@ -544,11 +536,11 @@ class _Simulator:
             mode=self.mode,
             horizon=horizon,
             seed=seed,
-            records=tuple(self.records),
+            records=tuple(records),
             max_latency=max_latency,
             max_deflections=max_deflections,
-            flit_hops=self.flit_hops,
-            retention_violations=self.retention_violations,
+            flit_hops=flit_hops,
+            retention_violations=drops,
             bound_violations=violations,
         )
 

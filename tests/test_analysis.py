@@ -276,7 +276,7 @@ def _sweep_sized_draws():
 def _floor(fs: Flowset, fid: int) -> int:
     """The bound with every idle wait at its least value, 1."""
     own = no_load_latency(fs, fid) + len(fs.ring_of(fid)) * fs.maxloops[fid]
-    sharers = fs.interference_sets(fid).injection_sharers
+    sharers = fs.injection_sharers(fid)
     return (own + post_injection(fs, fid) + 1
             + sum(fs.flow(g).length + 1 for g in sharers))
 

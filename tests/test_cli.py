@@ -332,6 +332,19 @@ class TestSweepCommand:
         assert f"config field {field!r}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_job_count_below_one_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grids": [4], "flows_start": 4,
+                                   "flows_end": 4}))
+        for jobs in ("-4", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["sweep", "--config", str(cfg), "--jobs", jobs,
+                          "--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            assert ("argument --jobs: must be at least 1"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestImproveCommand:
     def test_shipped_traffic_default(self, tmp_path, capsys):

@@ -156,7 +156,7 @@ class TestInterferenceSets:
         fs = single_flow_ring8()
         sets = fs.interference_sets(0)
         assert sets.ring_peers == ()
-        assert sets.injection_sharers == ()
+        assert fs.injection_sharers(0) == ()
         assert sets.upstream == ()
         assert sets.deflected_only == ()
 
@@ -181,8 +181,8 @@ class TestInterferenceSets:
     def test_same_source_switch_shares_injection_link(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 1, 3)])
-        assert fs.interference_sets(0).injection_sharers == (1,)
-        assert fs.interference_sets(1).injection_sharers == (0,)
+        assert fs.injection_sharers(0) == (1,)
+        assert fs.injection_sharers(1) == (0,)
 
     def test_upstream_and_deflected_partition_ring_peers(self):
         top = generate_rlrec(4, 4)
@@ -345,8 +345,9 @@ def test_path_endpoints_and_length_on_generated_grids(data):
 
 
 def _reference_index(top: NetworkTopology, flows: list[Flow]):
-    """Ring choice, Oldest-First counts, paths and interference sets, each
-    by a direct scan over every ring or every pair of flows."""
+    """Ring choice, Oldest-First counts, paths, interference sets and
+    injection sharers, each by a direct scan over every ring or every pair
+    of flows."""
     rings = {}
     for f in flows:
         ring = best_len = None
@@ -369,7 +370,7 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
     paths = {
         f.flow_id: top.rings[rings[f.flow_id]].path(f.src, f.dst) for f in flows
     }
-    sets = {}
+    sets, sharing = {}, {}
     for f in flows:
         peers, sharers, upstream, deflected = [], [], [], []
         for g in flows:
@@ -384,9 +385,10 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
                 else:
                     deflected.append(g.flow_id)
         sets[f.flow_id] = InterferenceSets(
-            tuple(peers), tuple(sharers), tuple(upstream), tuple(deflected)
+            tuple(peers), tuple(upstream), tuple(deflected)
         )
-    return rings, competitors, paths, sets
+        sharing[f.flow_id] = tuple(sharers)
+    return rings, competitors, paths, sets, sharing
 
 
 @st.composite
@@ -422,7 +424,7 @@ class TestFlowsetIndex:
     def test_index_matches_pairwise_scans(self, case):
         top, flows = case
         fs = Flowset(top, flows)
-        rings, competitors, paths, sets = _reference_index(top, flows)
+        rings, competitors, paths, sets, sharing = _reference_index(top, flows)
         assert fs.flows == tuple(flows)
         for f in fs:
             assert fs.ring_of(f.flow_id).ring_id == rings[f.flow_id]
@@ -435,6 +437,7 @@ class TestFlowsetIndex:
             assert fs.dst_switch(f.flow_id) == f.dst
             assert fs.path_of(f.flow_id) == paths[f.flow_id]
             assert fs.interference_sets(f.flow_id) == sets[f.flow_id]
+            assert fs.injection_sharers(f.flow_id) == sharing[f.flow_id]
 
     @settings(max_examples=60, deadline=None)
     @given(indexed_flowsets(), st.integers(0, 3))
