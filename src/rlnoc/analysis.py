@@ -13,7 +13,8 @@ switch only when deflected contribute just their one header flit per loop.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -33,15 +34,12 @@ JitterMap = Mapping[int, "int | None"]
 Term = tuple[int, int, int, int]
 # A flow's idle-bound terms and its divergence cap.
 Window = tuple[list[Term], int]
-
-
 class ProtocolMode(Enum):
     BASELINE = "baseline"
     PROPOSED = "proposed"
 
 
-@dataclass(frozen=True)
-class FlowAnalysis:
+class FlowAnalysis(NamedTuple):
     """Per-flow result. ``bound`` is None when the computation diverged."""
 
     flow_id: int
@@ -75,29 +73,53 @@ class _Row(NamedTuple):
     sharer_length: int  # their packet lengths, summed
 
 
-class _Table:
-    """Every flow's bound inputs for one call, by position in ``flowset.flows``.
+class _Windows(NamedTuple):
+    """A flow's idle-bound terms and divergence cap under each protocol."""
 
+    full: Window  # full-packet deflection
+    header: Window  # header-only deflection
+
+
+class _Climbs(NamedTuple):
+    """One protocol's pass-1 climbs, by position: each flow's idle wait with
+    every interference jitter 0, and its step count (0: not climbed yet)."""
+
+    full: bool  # full-packet deflection
+    idle: list[int | None]
+    steps: list[int]
+
+    def pick(self, windows: _Windows) -> Window:
+        """This protocol's window of the two."""
+        return windows.full if self.full else windows.header
+
+
+class _Table:
+    """Every flow's bound inputs, by position in ``flowset.flows``.
+
+    One table serves every call on one flowset object, in both protocols
+    (``_table``).  A flowset fixes its flows and their budgets, since
+    ``with_maxloop`` returns a new object, so nothing here goes stale.
     Interferers and injection sharers are named by position too, so the
-    outer passes run over lists.  A flow's row and window are built on first
-    use and never again in the call: ``analyze`` builds them all, while
-    ``quick_verdict`` builds only what its screens reach.  ``idle`` and
-    ``steps`` hold pass 1's idle wait (every interference jitter 0) of each
-    flow whose window has been built.
+    outer passes run over lists.  A flow's row holds no protocol; its
+    windows hold both, and each protocol keeps its own pass-1 climbs in
+    ``modes``.  Each entry is built on first use: ``analyze`` builds them
+    all, while ``quick_verdict`` builds only what its screens reach.
+
+    The table holds no reference to its flowset, which is passed to each
+    builder, so the flowset's death frees it.  ``HARD_CAP`` is read when a
+    flow's windows are built, ``MAX_PASSES`` on every call.
     """
 
-    def __init__(self, flowset: Flowset, mode: ProtocolMode) -> None:
-        self.flowset = flowset
-        self.mode = mode
+    def __init__(self, flowset: Flowset) -> None:
         self.at = {f.flow_id: pos for pos, f in enumerate(flowset.flows)}
         n = len(flowset.flows)
         self.rows: list[_Row | None] = [None] * n
-        self.windows: list[Window | None] = [None] * n
-        self.idle: list[int | None] = [None] * n
-        self.steps = [0] * n
+        self.both: list[_Windows | None] = [None] * n
+        self.modes = {mode: _Climbs(mode is ProtocolMode.BASELINE, [None] * n, [0] * n)
+                      for mode in ProtocolMode}
         self.zero = [0] * n
 
-    def row(self, pos: int) -> _Row:
+    def row(self, fs: Flowset, pos: int) -> _Row:
         """The interference-free inputs of the flow at ``pos``.
 
         Post-injection buffering: every downstream switch can hold the packet
@@ -108,7 +130,6 @@ class _Table:
         """
         row = self.rows[pos]
         if row is None:
-            fs = self.flowset
             fid = fs.flows[pos].flow_id
             lap = len(fs.ring_of(fid))
             buf = fs.buffer_of(fid)
@@ -124,15 +145,16 @@ class _Table:
             )
         return row
 
-    def window(self, pos: int) -> Window:
+    def windows(self, fs: Flowset, pos: int) -> _Windows:
         """The idle-bound terms and divergence cap of the flow at ``pos``.
 
         The idle bound is 1 + sum over terms of
         weight * ceil((I + release jitter + interference jitter) / period).
         Upstream peers cross the injection switch once per packet plus once
-        per loop; the rest cross it only while looping, paying full length
-        under full-packet deflection but one header flit under header-only
-        deflection.
+        per loop, (1 + budget) * length in both protocols; the rest cross it
+        only while looping, paying their full length per loop under
+        full-packet deflection but one header flit under header-only
+        deflection.  One pass over the ring peers builds both windows.
 
         The cap is the busy-period size beyond which iteration gives up.
         Anything past the deadline already means unschedulable, so the cap
@@ -140,50 +162,51 @@ class _Table:
         it); it scales with the peers' total deflection count so
         slowly-converging but finite instances are not cut off early.
         """
-        window = self.windows[pos]
-        if window is None:
-            fs, at = self.flowset, self.at
-            flows, loops = fs.flows, fs.maxloops
-            sets = fs.interference_sets(flows[pos].flow_id)
-            terms: list[Term] = []
+        both = self.both[pos]
+        if both is None:
+            at, flows, loops = self.at, fs.flows, fs.maxloops
+            upstream, deflected = fs.split_ring_peers(flows[pos].flow_id)
+            full: list[Term] = []
+            header: list[Term] = []
             peer_loops = 0
-            for g in sets.upstream:
+            for g in upstream:
                 k = loops[g]
                 p = at[g]
                 f = flows[p]
                 peer_loops += k
-                terms.append((p, (1 + k) * f.length, f.period,
-                              f.jitter + f.period - 1))
-            full = self.mode is ProtocolMode.BASELINE
-            for g in sets.deflected_only:
+                term = (p, (1 + k) * f.length, f.period, f.jitter + f.period - 1)
+                full.append(term)
+                header.append(term)
+            for g in deflected:
                 k = loops[g]
                 if k:
                     p = at[g]
                     f = flows[p]
                     peer_loops += k
-                    terms.append((p, k * (f.length if full else 1), f.period,
-                                  f.jitter + f.period - 1))
+                    offset = f.jitter + f.period - 1
+                    full.append((p, k * f.length, f.period, offset))
+                    header.append((p, k, f.period, offset))
             cap = min(HARD_CAP, flows[pos].period * (1 + peer_loops))
-            window = self.windows[pos] = terms, cap
-        return window
+            both = self.both[pos] = _Windows((full, cap), (header, cap))
+        return both
 
-    def first_idle(self, pos: int) -> int | None:
-        """Pass 1's idle wait of the flow at ``pos``, building its window."""
-        if self.windows[pos] is None:
-            self.idle[pos], self.steps[pos] = _idle(self.window(pos), self.zero)
-        return self.idle[pos]
+    def first_idle(self, fs: Flowset, pos: int, climbs: _Climbs) -> int | None:
+        """Pass 1's idle wait of the flow at ``pos``, climbing it once."""
+        if not climbs.steps[pos]:
+            climbs.idle[pos], climbs.steps[pos] = _idle(
+                climbs.pick(self.windows(fs, pos)), self.zero)
+        return climbs.idle[pos]
 
 
-def _table_at(
-    flowset: Flowset, flow_id: int, mode: ProtocolMode = ProtocolMode.BASELINE
-) -> tuple[_Table, int]:
-    """A table for ``flowset`` and the position of ``flow_id`` in it.
+_TABLES: weakref.WeakKeyDictionary[Flowset, _Table] = weakref.WeakKeyDictionary()
 
-    Only windows depend on the mode, so readers of a row or a divergence
-    cap may leave it at its default.
-    """
-    table = _Table(flowset, mode)
-    return table, table.at[flow_id]
+
+def _table(flowset: Flowset) -> _Table:
+    """The table of ``flowset``, built on the first call that needs it."""
+    table = _TABLES.get(flowset)
+    if table is None:
+        table = _TABLES[flowset] = _Table(flowset)
+    return table
 
 
 def _idle(window: Window, jitter: list[int | None]) -> tuple[int | None, int]:
@@ -215,6 +238,31 @@ def _idle(window: Window, jitter: list[int | None]) -> tuple[int | None, int]:
         value = nxt
 
 
+def _same_climb(
+    terms: list[Term], wait: int, before: list[int | None],
+    after: list[int | None],
+) -> bool:
+    """Whether the climb under jitter ``after`` repeats the one under ``before``.
+
+    ``wait`` is the fixed point that the climb from 1 reached under
+    ``before``, and no jitter in ``after`` is below its value in ``before``,
+    as jitter only rises from pass to pass.  Each term's ceiling grows with
+    the busy-period size and with the jitter, so on [1, wait] it lies
+    between its value at 1 under ``before`` and its value at ``wait`` under
+    ``after``.  When those two are equal for every term, the idle function
+    under ``after`` equals the one under ``before`` on [1, wait].  The climb
+    from 1 stays inside [1, wait] until it stops at ``wait``, so under
+    ``after`` it visits the same values: the same fixed point in the same
+    number of steps.
+    """
+    for pos, _, period, offset in terms:
+        jk = after[pos]
+        if (jk is None or (1 + offset + before[pos]) // period
+                != (wait + offset + jk) // period):
+            return False
+    return True
+
+
 def _queue(
     row: _Row, idle: Sequence[int | None] | Mapping[int, int | None]
 ) -> int | None:
@@ -237,9 +285,9 @@ def _bound(fixed: int, idle: int | None, queue: int | None) -> int | None:
 
 
 def divergence_cap(flowset: Flowset, flow_id: int) -> int:
-    """Busy-period size beyond which iteration gives up (``_Table.window``)."""
-    table, pos = _table_at(flowset, flow_id)
-    return table.window(pos)[1]
+    """Busy-period size beyond which iteration gives up (``_Table.windows``)."""
+    table = _table(flowset)
+    return table.windows(flowset, table.at[flow_id]).full[1]  # both hold it
 
 
 def pre_injection_idle(
@@ -249,30 +297,30 @@ def pre_injection_idle(
     interference_jitter: JitterMap | None = None,
 ) -> int | None:
     """Worst-case wait at the head of the injection queue, or None if diverged."""
-    table, pos = _table_at(flowset, flow_id, mode)
+    table = _table(flowset)
     jmap = interference_jitter or {}
     jitter = [jmap.get(f.flow_id, 0) for f in flowset.flows]
-    return _idle(table.window(pos), jitter)[0]
+    windows = table.windows(flowset, table.at[flow_id])
+    return _idle(table.modes[mode].pick(windows), jitter)[0]
 
 
 def pre_injection_queue(
     flowset: Flowset, flow_id: int, idle_map: Mapping[int, int | None]
 ) -> int | None:
     """Wait behind injection-link sharers: their packets plus their idle waits."""
-    table, pos = _table_at(flowset, flow_id)
-    row = table.row(pos)
+    table = _table(flowset)
+    row = table.row(flowset, table.at[flow_id])
     flows = flowset.flows
     return _queue(row, {p: idle_map[flows[p].flow_id] for p in row.sharers})
 
 
 def post_injection(flowset: Flowset, flow_id: int) -> int:
     """Worst-case buffering after injection, plus the flow's own loops."""
-    table, pos = _table_at(flowset, flow_id)
-    return table.row(pos).post
+    table = _table(flowset)
+    return table.row(flowset, table.at[flow_id]).post
 
 
-@dataclass(frozen=True)
-class _Pass:
+class _Pass(NamedTuple):
     """One whole-set evaluation under one interference-jitter list.
 
     Every list is indexed by position in ``flowset.flows``.
@@ -286,7 +334,7 @@ class _Pass:
     converged: bool
 
 
-def _passes(table: _Table) -> Iterator[_Pass]:
+def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
     """Outer passes resolving interference jitter, one state per pass.
 
     Interference jitter of each flow is its bound minus its no-load latency
@@ -294,20 +342,31 @@ def _passes(table: _Table) -> Iterator[_Pass]:
     is unchanged, or ``MAX_PASSES`` have run.  Diverged flows keep a None
     bound, which forces every flow depending on them to None as well, and
     never recover (passes are monotone), so the fixed point is reached.
-    Whatever ``table`` already holds is not built again.
+    Whatever the flowset's table already holds is not built again.
+
+    From pass 2 on, a flow keeps the previous pass's idle wait and step
+    count when ``_same_climb`` shows that climbing again would repeat them;
+    otherwise it climbs from 1.  Both give the same (wait, steps).
     """
-    positions = range(len(table.at))
-    rows = [table.row(pos) for pos in positions]
-    for pos in positions:
-        table.first_idle(pos)
-    windows = table.windows
-    jitter, idle, steps = table.zero, table.idle, table.steps
+    table = _table(flowset)
+    climbs = table.modes[mode]
+    rows = table.rows
+    if None in rows:
+        for pos in range(len(rows)):
+            table.row(flowset, pos)
+    if 0 in climbs.steps:
+        for pos in range(len(rows)):
+            table.first_idle(flowset, pos, climbs)
+    windows = [climbs.pick(both) for both in table.both]
+    jitter, idle, steps = table.zero, climbs.idle, climbs.steps
     prev: list[int | None] | None = None
     for number in range(MAX_PASSES):
         if number:
+            last_idle, last_steps = idle, steps
             idle, steps = [], []
-            for window in windows:
-                wait, taken = _idle(window, jitter)
+            for window, wait, taken in zip(windows, last_idle, last_steps):
+                if wait is None or not _same_climb(window[0], wait, before, jitter):
+                    wait, taken = _idle(window, jitter)
                 idle.append(wait)
                 steps.append(taken)
         queue = [_queue(row, idle) for row in rows]
@@ -319,6 +378,7 @@ def _passes(table: _Table) -> Iterator[_Pass]:
         if converged:
             return
         prev = bounds
+        before = jitter
         # A bound is at least no-load latency plus one idle cycle, so the
         # jitter it hands on is positive.
         jitter = [
@@ -326,16 +386,15 @@ def _passes(table: _Table) -> Iterator[_Pass]:
         ]
 
 
-def _row(table: _Table, pos: int, state: _Pass) -> FlowAnalysis:
-    """The result of the flow at ``pos`` as the pass ``state`` left it."""
-    flow = table.flowset.flows[pos]
-    row = table.rows[pos]
-    bound = state.bounds[pos]
-    # Positional, in field order: keywords cost more than the rest of the row.
-    return FlowAnalysis(
-        flow.flow_id, row.no_load, state.idle[pos], state.queue[pos], row.post,
-        bound, flow.deadline, bound is not None and bound <= flow.deadline,
-        bound is not None, state.steps[pos],
+def _results(flowset: Flowset, state: _Pass) -> tuple[FlowAnalysis, ...]:
+    """Every flow's result as the pass ``state`` left it, in flow order."""
+    return tuple(
+        FlowAnalysis(f.flow_id, row.no_load, wait, queue, row.post, bound,
+                     f.deadline, bound is not None and bound <= f.deadline,
+                     bound is not None, steps)
+        for f, row, wait, queue, bound, steps in zip(
+            flowset.flows, _table(flowset).rows, state.idle, state.queue,
+            state.bounds, state.steps)
     )
 
 
@@ -346,8 +405,8 @@ def response_time(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> FlowAna
     computed against the same jitter snapshot, so the result is independent
     of evaluation order.
     """
-    table, pos = _table_at(flowset, flow_id, mode)
-    return _row(table, pos, next(_passes(table)))
+    first = _results(flowset, next(_passes(flowset, mode)))
+    return first[_table(flowset).at[flow_id]]
 
 
 def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
@@ -358,14 +417,13 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     then reported with ``converged=False`` and ``schedulable=False``.
     """
     start = time.perf_counter()
-    table = _Table(flowset, mode)
     passes = 0
-    for last in _passes(table):
+    for last in _passes(flowset, mode):
         passes += 1
-    flows = tuple(_row(table, pos, last) for pos in range(len(table.at)))
+    flows = _results(flowset, last)
     if not last.converged:
         flows = tuple(
-            replace(fa, schedulable=False, converged=False) for fa in flows
+            fa._replace(schedulable=False, converged=False) for fa in flows
         )
     return AnalysisReport(
         mode=mode,
@@ -386,26 +444,28 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     flow, least floor slack first, up to the first miss.  Every jitter is 0
     in pass 1, so each idle wait depends on its own flow alone and is
     computed once: these are the bounds of pass 1 of ``_passes``, and their
-    order cannot change the verdict.  Both screens fill one table, which
-    ``_passes`` then completes, so no row or window is built twice.
+    order cannot change the verdict.  Both screens fill the flowset's table,
+    which ``_passes`` then completes, so no row or window is built twice.
     """
-    table = _Table(flowset, mode)
+    table = _table(flowset)
     flows = flowset.flows
     slack: list[int] = []
     for pos, f in enumerate(flows):
-        row = table.row(pos)
+        row = table.row(flowset, pos)
         floor = row.fixed + 1 + row.sharer_length + len(row.sharers)
         if floor > f.deadline:
             return False
         slack.append(f.deadline - floor)
+    climbs = table.modes[mode]
     for pos in sorted(range(len(flows)), key=slack.__getitem__):  # ties keep flow order
         row = table.rows[pos]
         for p in row.sharers:
-            table.first_idle(p)
-        b = _bound(row.fixed, table.first_idle(pos), _queue(row, table.idle))
+            table.first_idle(flowset, p, climbs)
+        b = _bound(row.fixed, table.first_idle(flowset, pos, climbs),
+                   _queue(row, climbs.idle))
         if b is None or b > flows[pos].deadline:
             return False
-    for state in _passes(table):
+    for state in _passes(flowset, mode):
         for f, b in zip(flows, state.bounds):
             if b is None or b > f.deadline:
                 return False

@@ -17,7 +17,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import fmean
-from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import (Iterator, NamedTuple, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 from .analysis import ProtocolMode, analyze, quick_verdict
 from .model import Flow, Flowset, ModelError, NetworkTopology, generate_rlrec
@@ -238,8 +239,7 @@ def schedulability_sweep(
     return [point for chunk in results for point in chunk]
 
 
-@dataclass(frozen=True)
-class ImprovementRow:
+class ImprovementRow(NamedTuple):
     mapping_id: int
     flow_id: int
     r_base: int | None
@@ -267,8 +267,10 @@ def improvement_report(
     Per placement the abstract endpoints are mapped onto distinct cores and
     both protocols analyzed on the resulting flowset.  The pooled mean
     averages per-placement flow means so heavy placements cannot swamp light
-    ones.  Flows whose bound diverged in either protocol are reported with
-    an empty improvement and excluded from the statistics.
+    ones.  A flow whose bound diverged or did not converge in either
+    protocol is reported with an empty improvement and kept out of the
+    statistics; a bound that did not converge may lie below the fixed
+    point, so it is reported empty too.
     """
     endpoints = sorted(
         {f.src for f in traffic} | {f.dst for f in traffic}
@@ -297,14 +299,16 @@ def improvement_report(
         prop = analyze(flowset, ProtocolMode.PROPOSED)
         gains: list[float] = []
         for fb, fp in zip(base.flows, prop.flows):
-            if fb.bound is None or fp.bound is None:
+            r_base = fb.bound if fb.converged else None
+            r_prop = fp.bound if fp.converged else None
+            if r_base is None or r_prop is None:
                 pct = None
             else:
-                pct = (fb.bound - fp.bound) / fb.bound * 100.0
+                pct = (r_base - r_prop) / r_base * 100.0
                 gains.append(pct)
                 best = max(best, pct)
             rows.append(
-                ImprovementRow(mapping_id, fb.flow_id, fb.bound, fp.bound, pct)
+                ImprovementRow(mapping_id, fb.flow_id, r_base, r_prop, pct)
             )
         if gains:
             mapping_means.append(fmean(gains))

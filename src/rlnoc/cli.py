@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a simulation exceeded an analysis bound,
 2 for unusable inputs (malformed files, impossible topologies) and for
-files or directories that cannot be read or written.  All output
+files or directories that cannot be read or written, 3 when the simulator
+broke one of its own invariants (such as a ring buffer overflow).  All output
 artifacts are deterministic functions of the inputs and seeds; runs that
 take a seed drop a ``run_meta.json`` next to their outputs recording it.
 """
@@ -35,7 +36,14 @@ from .files import (
     write_trace_summary_csv,
 )
 from .model import Flowset, ModelError, generate_rlrec
-from .sim import Periodic, PeriodicWithJitter, Sporadic, Synchronous, run
+from .sim import (
+    Periodic,
+    PeriodicWithJitter,
+    SimInvariantError,
+    Sporadic,
+    Synchronous,
+    run,
+)
 
 _PATTERNS = {
     "synchronous": Synchronous,
@@ -288,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{exc.filename}: " if exc.filename is not None else ""
         print(f"error: {where}{reason}", file=sys.stderr)
         return 2
+    except SimInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

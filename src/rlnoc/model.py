@@ -338,25 +338,32 @@ class Flowset:
         budgeted.maxloops = dict.fromkeys(self.maxloops, maxloop)
         return budgeted
 
-    def interference_sets(self, flow_id: int) -> InterferenceSets:
-        cached = self._interference.get(flow_id)
-        if cached is not None:
-            return cached
+    def split_ring_peers(self, flow_id: int) -> tuple[list[int], list[int]]:
+        """The flow's ring peers as (upstream, deflected-only) ids, in the
+        order they joined the ring (see ``InterferenceSets``)."""
         ring, _, _, p, _ = self._place[flow_id]
         n = len(self.topology.rings[ring])
-        peers, upstream, deflected = [], [], []
+        upstream: list[int] = []
+        deflected: list[int] = []
         for g in self._by_ring[ring]:
             if g == flow_id:
                 continue
-            peers.append(g)
             # g's path covers ring positions i, i + 1, ..., j (mod n).
             _, _, _, i, j = self._place[g]
             if (p - i) % n <= (j - i) % n:
                 upstream.append(g)
             else:
                 deflected.append(g)
+        return upstream, deflected
+
+    def interference_sets(self, flow_id: int) -> InterferenceSets:
+        cached = self._interference.get(flow_id)
+        if cached is not None:
+            return cached
+        upstream, deflected = self.split_ring_peers(flow_id)
+        ring = self._place[flow_id][0]
         sets = InterferenceSets(
-            ring_peers=tuple(peers),
+            ring_peers=tuple(g for g in self._by_ring[ring] if g != flow_id),
             upstream=tuple(upstream),
             deflected_only=tuple(deflected),
         )

@@ -29,6 +29,7 @@ from rlnoc.analysis import (
     response_time,
 )
 from rlnoc.bench import SweepConfig, generate_flowset
+from rlnoc.files import load_traffic, sample_traffic_path
 from rlnoc.model import Flowset, NetworkTopology, Ring, generate_rlrec, no_load_latency
 
 BASE = ProtocolMode.BASELINE
@@ -501,7 +502,106 @@ class TestPositionIsNotId:
                         got = response_time(moved, i, mode)
                         want = response_time(dense, pos, mode)
                         assert got.flow_id == i
-                        assert got == dataclasses.replace(want, flow_id=i)
+                        assert got == want._replace(flow_id=i)
+
+
+def _placements():
+    """Flowsets of the placement study: the shipped traffic on 4x4, 6x6 and
+    9x9 at the first seed-0 mappings of ``improvement_report``."""
+    traffic = load_traffic(sample_traffic_path())
+    endpoints = sorted({f.src for f in traffic} | {f.dst for f in traffic})
+    for grid in (4, 6, 9):
+        top = generate_rlrec(grid, grid)
+        for mapping_id in range(3):
+            rng = random.Random(f"0:mapping:{mapping_id}")
+            cores = dict(zip(endpoints, rng.sample(range(grid * grid), len(endpoints))))
+            yield Flowset(top, [
+                dataclasses.replace(f, src=cores[f.src], dst=cores[f.dst])
+                for f in traffic
+            ])
+
+
+class TestConfirmingPass:
+    """From pass 2 on, ``_passes`` keeps a flow's last climb when no
+    ceiling of its window moves; what it keeps must be the cold climb."""
+
+    def test_kept_climbs_equal_cold_climbs(self, monkeypatch):
+        real = rlnoc.analysis._same_climb
+        kept: list[bool] = []
+
+        def spy(*args):
+            kept.append(real(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(rlnoc.analysis, "_same_climb", spy)
+        short = [fs for fs in _sweep_sized_draws()
+                 if {f.period for f in fs} == {1000}]
+        assert len(short) == 30
+        seen = set()
+        for label, cases in (("placement", list(_placements())),
+                             ("short periods", short)):
+            kept.clear()
+            moved = False
+            for fs in cases:
+                for mode in (BASE, PROP):
+                    table = rlnoc.analysis._table(fs)
+                    climbs = table.modes[mode]
+                    last = None
+                    for state in rlnoc.analysis._passes(fs, mode):
+                        for pos, both in enumerate(table.both):
+                            cold = rlnoc.analysis._idle(climbs.pick(both), state.jitter)
+                            assert (state.idle[pos], state.steps[pos]) == cold
+                            if last is not None and last.idle[pos] is not None:
+                                moved |= cold[0] != last.idle[pos]
+                        last = state
+            seen |= {(label, k) for k in kept}
+            if label == "short periods":
+                assert moved
+        # The placement study keeps every climb; short periods move ceilings.
+        assert ("placement", True) in seen and ("placement", False) not in seen
+        assert ("short periods", False) in seen
+
+
+class TestSharedTable:
+    """One table per flowset serves both modes and every entry point; no
+    mode, call order or budget may see another's entries."""
+
+    @staticmethod
+    def _fresh(fs: Flowset) -> Flowset:
+        return Flowset(fs.topology, [
+            dataclasses.replace(f, maxloop=fs.maxloops[f.flow_id]) for f in fs.flows
+        ])
+
+    @staticmethod
+    def _same(got: AnalysisReport, want: AnalysisReport) -> None:
+        assert (got.mode, got.flows, got.schedulable, got.passes) == (
+            want.mode, want.flows, want.schedulable, want.passes)
+
+    def test_no_leak_between_modes_orders_or_budgets(self):
+        cases = list(itertools.islice(_sweep_sized_draws(), 0, None, 3))
+        cases += [fs for fs in (_deflecting_pair(), _uplink_pair())]
+        differ = 0
+        for fs in cases:
+            want = {mode: analyze(self._fresh(fs), mode) for mode in (BASE, PROP)}
+            differ += want[BASE].flows != want[PROP].flows
+            for order in ((PROP, BASE), (BASE, PROP)):
+                shared = self._fresh(fs)
+                for mode in order:
+                    self._same(analyze(shared, mode), want[mode])
+            for first, then in ((BASE, BASE), (PROP, PROP), (BASE, PROP), (PROP, BASE)):
+                shared = self._fresh(fs)
+                verdict = quick_verdict(shared, first)
+                assert verdict == want[first].schedulable
+                self._same(analyze(shared, then), want[then])
+            source = self._fresh(fs)
+            for mode in (BASE, PROP):
+                analyze(source, mode)
+            for k in (0, 2):
+                budgeted = source.with_maxloop(k)
+                for mode in (PROP, BASE):
+                    self._same(analyze(budgeted, mode),
+                               analyze(self._fresh(budgeted), mode))
+        assert differ
 
 
 @st.composite

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+import rlnoc.analysis
 import rlnoc.bench
 from rlnoc.analysis import ProtocolMode, analyze
 from rlnoc.bench import (
@@ -247,3 +248,22 @@ class TestImprovement:
         rep = improvement_report(traffic, generate_rlrec(4, 4), n_mappings=3)
         assert isinstance(rep, ImprovementReport)
         assert rep.max_improvement_pct > 0.0
+
+    def test_pass_cap_yields_no_improvement(self, monkeypatch):
+        # One pass stops short of the fixed point: every bound it leaves
+        # may be too low, so none may count as an improvement.
+        from rlnoc.files import load_traffic, sample_traffic_path
+
+        traffic = load_traffic(sample_traffic_path())
+        top = generate_rlrec(4, 4)
+        full = improvement_report(traffic, top, n_mappings=2)
+        assert all(r.improvement_pct is not None for r in full.rows)
+        monkeypatch.setattr(rlnoc.analysis, "MAX_PASSES", 1)
+        capped = improvement_report(traffic, top, n_mappings=2)
+        assert [(r.mapping_id, r.flow_id) for r in capped.rows] == [
+            (r.mapping_id, r.flow_id) for r in full.rows]
+        for r in capped.rows:
+            assert r.r_base is None and r.r_prop is None
+            assert r.improvement_pct is None
+        assert capped.max_improvement_pct == 0.0
+        assert capped.mean_improvement_pct == 0.0

@@ -205,7 +205,7 @@ class TestSimulateCommand:
         def tightened(fs, mode):
             rep = real(fs, mode)
             flows = tuple(
-                dataclasses.replace(fa, bound=1) for fa in rep.flows
+                fa._replace(bound=1) for fa in rep.flows
             )
             return dataclasses.replace(rep, flows=flows)
 
@@ -240,7 +240,7 @@ class TestSimulateCommand:
         def flow_one_unconverged(fs, mode):
             rep = real(fs, mode)
             flows = tuple(
-                dataclasses.replace(fa, converged=fa.flow_id != 1)
+                fa._replace(converged=fa.flow_id != 1)
                 for fa in rep.flows
             )
             return dataclasses.replace(rep, flows=flows)
@@ -267,6 +267,24 @@ class TestSimulateCommand:
             ])
             outs.append((d / "trace_baseline.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_simulator_invariant_exits_three(self, tmp_path, capsys):
+        # Header-only re-injection overflows a ring buffer on this flowset
+        # (see TestReInjectionBuffer in test_sim.py).
+        path = str(tmp_path / "fs.json")
+        assert cli.main([
+            "gen-flowset", "--grid", "4", "--flows", "30", "--packet-range",
+            "2-4", "--seed", "13", "--out", path,
+        ]) == 0
+        capsys.readouterr()
+        rc = cli.main([
+            "simulate", path, "--mode", "proposed", "--pattern",
+            "synchronous", "--horizon", "20000", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: buffer overflow at switch 3 ring 0\n")
 
 
 class TestSweepCommand:
