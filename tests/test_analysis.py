@@ -579,7 +579,7 @@ class TestSharedTable:
 
     def test_no_leak_between_modes_orders_or_budgets(self):
         cases = list(itertools.islice(_sweep_sized_draws(), 0, None, 3))
-        cases += [fs for fs in (_deflecting_pair(), _uplink_pair())]
+        cases += [_deflecting_pair(), _uplink_pair()]
         differ = 0
         for fs in cases:
             want = {mode: analyze(self._fresh(fs), mode) for mode in (BASE, PROP)}

@@ -268,7 +268,6 @@ class TestSimulateCommand:
             outs.append((d / "trace_baseline.csv").read_bytes())
         assert outs[0] == outs[1]
 
-
     def test_simulator_invariant_exits_three(self, tmp_path, capsys):
         # Header-only re-injection overflows a ring buffer on this flowset
         # (see TestReInjectionBuffer in test_sim.py).
