@@ -130,16 +130,21 @@ class _Table:
         """
         row = self.rows[pos]
         if row is None:
-            fid = fs.flows[pos].flow_id
-            lap = len(fs.ring_of(fid))
-            buf = fs.buffer_of(fid)
+            at, flows = self.at, fs.flows
+            fid = flows[pos].flow_id
+            ring, _, _, path = fs.placement(fid)
+            lap = len(fs.topology.rings[ring])
+            buf = fs.ring_buffers[ring]
             loops = fs.maxloops[fid]
-            post = (len(fs.path_of(fid)) - 1) * buf + loops * lap * buf
+            post = (len(path) - 1) * buf + loops * lap * buf
             no_load = no_load_latency(fs, fid)
-            sharers = [self.at[g] for g in fs.injection_sharers(fid)]
+            sharers: list[int] = []
             length = 0
-            for p in sharers:
-                length += fs.flows[p].length
+            for g in fs.injected_at(path[0]):
+                if g != fid:
+                    p = at[g]
+                    sharers.append(p)
+                    length += flows[p].length
             row = self.rows[pos] = _Row(
                 no_load, post, no_load + loops * lap + post, sharers, length
             )

@@ -148,26 +148,22 @@ def generate_flowset(
     """
     n_cores = topology.n_switches
     lo, hi = packet_range
+    plo, phi = config.period_us
+    jlo, jhi = config.jitter_fraction
+    cycles, share = config.cycles_per_us, config.deadline_fraction
+    randint, randrange = rng.randint, rng.randrange
     flows = []
     for i in range(n_flows):
-        period = rng.randint(*config.period_us) * config.cycles_per_us
-        jlo, jhi = config.jitter_fraction
-        jitter = rng.randint(int(period * jlo), int(period * jhi))
-        src = rng.randrange(n_cores)
-        dst = rng.randrange(n_cores - 1)
+        period = randint(plo, phi) * cycles
+        jitter = randint(int(period * jlo), int(period * jhi))
+        src = randrange(n_cores)
+        dst = randrange(n_cores - 1)
         if dst >= src:
             dst += 1
-        flows.append(
-            Flow(
-                flow_id=i,
-                period=period,
-                deadline=max(1, int(period * config.deadline_fraction)),
-                length=rng.randint(lo, hi),
-                jitter=jitter,
-                src=src,
-                dst=dst,
-            )
-        )
+        # Flow(flow_id, period, deadline, length, jitter, src, dst); the
+        # length is drawn last.
+        flows.append(Flow(i, period, max(1, int(period * share)),
+                          randint(lo, hi), jitter, src, dst))
     return Flowset(topology, flows)
 
 

@@ -10,12 +10,22 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 CoreId = int
 SwitchId = int
 RingId = int
-Route = tuple[RingId, int, int, tuple[SwitchId, ...]]
+
+
+class Route(NamedTuple):
+    """How a packet gets from one switch to another: the ring, the two
+    switches' positions on it, and the switches traversed from source to
+    destination, both included.  A flow's route is its placement."""
+
+    ring: RingId
+    src_pos: int
+    dst_pos: int
+    path: tuple[SwitchId, ...]
 
 
 class ModelError(ValueError):
@@ -79,48 +89,73 @@ class NetworkTopology:
         if self.rows < 1 or self.cols < 1:
             raise ModelError("grid dimensions must be positive")
         n = self.rows * self.cols
+        # switch -> (ring, position) of every ring through it, in ring id order
+        through: dict[SwitchId, list[tuple[RingId, int]]] = {s: [] for s in range(n)}
         for i, ring in enumerate(self.rings):
             if ring.ring_id != i:
                 raise ModelError(f"ring at index {i} has ring_id {ring.ring_id}")
-            for s in ring.switches:
+            for pos, s in enumerate(ring.switches):
                 if not 0 <= s < n:
                     raise ModelError(
                         f"ring {i}: switch {s} outside {self.rows}x{self.cols} grid"
                     )
-        sharing: dict[SwitchId, frozenset[RingId]] = {}
-        for s in range(n):
-            sharing[s] = frozenset(r.ring_id for r in self.rings if s in r)
-        object.__setattr__(self, "_sharing", sharing)
+                through[s].append((i, pos))
+        object.__setattr__(self, "_through", through)
+        object.__setattr__(self, "_sharing", {
+            s: frozenset(r for r, _ in rings) for s, rings in through.items()})
+        object.__setattr__(self, "_walks", [r.switches * 2 for r in self.rings])
+        object.__setattr__(self, "_nearest", {})
         object.__setattr__(self, "_routes", {})
 
     @property
     def n_switches(self) -> int:
         return self.rows * self.cols
 
-    def switch_of_core(self, core: CoreId) -> SwitchId:
-        if not 0 <= core < self.n_switches:
-            raise ModelError(f"core {core} outside grid")
-        return core
-
     def rings_through(self, switch: SwitchId) -> frozenset[RingId]:
         return self._sharing[switch]  # type: ignore[attr-defined]
 
     def route(self, src: SwitchId, dst: SwitchId) -> Route | None:
-        """(ring, src position, dst position, path) on the ring with fewest hops
-        from src to dst, lower ring id first, or None if no ring passes both.
-        Kept per pair: every flowset built on this topology shares the table."""
+        """The route on the ring with fewest hops from src to dst, lower ring
+        id first, or None if no ring passes both.
+
+        The table is filled one source at a time: the first lookup from a
+        source walks each ring through it once and keeps, per destination,
+        its nearest ring as (hops, ring, source position).  A pair's route is
+        built on its own first lookup, its path sliced from the ring's
+        switches written out twice.  Every flowset built on this topology
+        shares the table.
+        """
         routes = self._routes  # type: ignore[attr-defined]
-        if (src, dst) not in routes:
-            shared = self.rings_through(src) & self.rings_through(dst)
-            best = min(
-                (self.rings[r] for r in shared),
-                key=lambda r: ((r.position(dst) - r.position(src)) % len(r), r.ring_id),
-                default=None,
-            )
-            routes[src, dst] = None if best is None else (
-                best.ring_id, best.position(src), best.position(dst),
-                best.path(src, dst))
-        return routes[src, dst]
+        try:
+            return routes[src, dst]
+        except KeyError:
+            pass
+        nearest = self._nearest.get(src)  # type: ignore[attr-defined]
+        if nearest is None:
+            nearest = self._nearest[src] = self._fill(src)  # type: ignore[attr-defined]
+        best = nearest.get(dst)
+        route = None
+        if best is not None:
+            hops, ring, i = best
+            walk = self._walks[ring]  # type: ignore[attr-defined]
+            route = Route(ring, i, (i + hops) % (len(walk) // 2),
+                          walk[i:i + hops + 1])
+        routes[src, dst] = route
+        return route
+
+    def _fill(self, src: SwitchId) -> dict[SwitchId, tuple[int, RingId, int]]:
+        """Each destination's nearest ring from ``src``: (hops, ring, source
+        position), the lower ring id winning a tie.  ``src`` itself is 0 hops
+        away on the lowest ring through it."""
+        nearest: dict[SwitchId, tuple[int, RingId, int]] = {}
+        walks = self._walks  # type: ignore[attr-defined]
+        for ring, i in self._through[src]:  # type: ignore[attr-defined]
+            walk = walks[ring]
+            for hops, dst in enumerate(walk[i:i + len(walk) // 2]):
+                best = nearest.get(dst)
+                if best is None or hops < best[0]:
+                    nearest[dst] = (hops, ring, i)
+        return nearest
 
 
 def _perimeter(r0: int, c0: int, r1: int, c1: int, cols: int) -> tuple[SwitchId, ...]:
@@ -218,19 +253,12 @@ class Flow:
 
 @dataclass(frozen=True)
 class InterferenceSets:
-    """Flow ids that can delay a given flow, by mechanism.
+    """Flow ids that can delay a given flow.
 
     ring_peers: flows sharing the ring (the whole interference domain).
-    upstream: ring peers whose source-to-destination path crosses the
-        flow's source switch; their packets pass it even when never
-        deflected.
-    deflected_only: the remaining ring peers; they cross the flow's source
-        switch only while looping after a deflection.
     """
 
     ring_peers: tuple[int, ...]
-    upstream: tuple[int, ...]
-    deflected_only: tuple[int, ...]
 
 
 class Flowset:
@@ -238,15 +266,17 @@ class Flowset:
 
     ``flows`` holds the given ``Flow`` objects unchanged; everything derived
     from them lives here.  Construction builds an index of the flows in one
-    pass: each flow's ring, its switches and their positions on that ring
-    (read from the topology's route table), flows bucketed by source switch
-    and by ring, per-ring buffer sizes (the largest packet on each ring),
-    and the Oldest-First competitor count of each flow.  ``maxloops`` maps
-    each flow id to its effective deflection budget: the flow's own
-    ``maxloop`` when the input fixes one, its competitor count otherwise.
-    Interference sets are read from the buckets on first use and cached.
-    None of this but ``maxloops`` depends on the budget, so the copies made
-    by ``with_maxloop`` share all of it.
+    pass: each flow's route (its ring, the positions of its switches on it
+    and its path, read from the topology's route table), flows bucketed by
+    source switch and by ring, per-ring buffer sizes (the largest packet on
+    each ring), and the Oldest-First competitor count of each flow.  The
+    first flow in flow order with a duplicate id, a core outside the grid or
+    no ring joining its cores is rejected.  ``maxloops`` maps each flow id to
+    its effective deflection budget: the flow's own ``maxloop`` when the
+    input fixes one, its competitor count otherwise.  Interference sets are
+    read from the buckets on first use and cached.  None of this but
+    ``maxloops`` depends on the budget, so the copies made by
+    ``with_maxloop`` share all of it.
     """
 
     def __init__(
@@ -256,45 +286,57 @@ class Flowset:
     ) -> None:
         self.topology = topology
         self.flows: tuple[Flow, ...] = tuple(flows)
-        self._by_id: dict[int, Flow] = {}
-        for f in self.flows:
-            if f.flow_id in self._by_id:
-                raise ModelError(f"duplicate flow id {f.flow_id}")
-            self._by_id[f.flow_id] = f
-
-        buffers = {r.ring_id: 1 for r in topology.rings}
-        # flow id -> (ring, source switch, destination switch, their ring positions)
-        self._place: dict[int, tuple[RingId, SwitchId, SwitchId, int, int]] = {}
-        self._paths: dict[int, tuple[SwitchId, ...]] = {}
-        self._by_src: dict[SwitchId, list[int]] = {}
-        self._by_ring: dict[RingId, list[int]] = {}
+        rows, cols = topology.rows, topology.cols
+        n_switches = rows * cols
+        route = topology.route
+        by_id: dict[int, Flow] = {}
+        place: dict[int, Route] = {}
+        by_src: dict[SwitchId, list[int]] = {}
+        by_ring: dict[RingId, list[int]] = {}
+        buffers = dict.fromkeys(range(len(topology.rings)), 1)
+        keys: list[tuple[RingId, SwitchId]] = []  # (ring, destination) by flow
         at_dst: dict[SwitchId, int] = {}
         at_ring_dst: dict[tuple[RingId, SwitchId], int] = {}
         for f in self.flows:
-            src = topology.switch_of_core(f.src)
-            dst = topology.switch_of_core(f.dst)
-            route = topology.route(src, dst)
-            if route is None:
-                raise ModelError(f"flow {f.flow_id}: no ring connects cores "
-                                 f"{f.src} and {f.dst}")
-            ring_id, i, j, self._paths[f.flow_id] = route
-            self._place[f.flow_id] = (ring_id, src, dst, i, j)
-            self._by_src.setdefault(src, []).append(f.flow_id)
-            self._by_ring.setdefault(ring_id, []).append(f.flow_id)
+            fid, src, dst = f.flow_id, f.src, f.dst
+            if fid in by_id:
+                raise ModelError(f"duplicate flow id {fid}")
+            by_id[fid] = f
+            # Core k attaches to switch k.
+            if not (0 <= src < n_switches and 0 <= dst < n_switches):
+                field, core = (("dst", dst) if 0 <= src < n_switches
+                               else ("src", src))
+                raise ModelError(f"flow {fid}: {field} core {core} "
+                                 f"outside {rows}x{cols} grid")
+            placed = route(src, dst)
+            if placed is None:
+                raise ModelError(f"flow {fid}: no ring connects cores "
+                                 f"{src} and {dst}")
+            place[fid] = placed
+            ring = placed[0]
+            by_src.setdefault(src, []).append(fid)
+            by_ring.setdefault(ring, []).append(fid)
+            if f.length > buffers[ring]:
+                buffers[ring] = f.length
+            key = (ring, dst)
+            keys.append(key)
             at_dst[dst] = at_dst.get(dst, 0) + 1
-            at_ring_dst[ring_id, dst] = at_ring_dst.get((ring_id, dst), 0) + 1
-            buffers[ring_id] = max(buffers[ring_id], f.length)
+            at_ring_dst[key] = at_ring_dst.get(key, 0) + 1
+        self._by_id = by_id
+        self._place = place
+        self._by_src = by_src
+        self._by_ring = by_ring
         self.ring_buffers: dict[RingId, int] = buffers
 
         # Ejection-link competitors: flows at the same destination switch
         # that arrive on another ring.
-        self._competitors: dict[int, int] = {}
-        self.maxloops: dict[int, int] = {}
-        for f in self.flows:
-            ring_id, _, dst, _, _ = self._place[f.flow_id]
-            count = at_dst[dst] - at_ring_dst[ring_id, dst]
-            self._competitors[f.flow_id] = count
-            self.maxloops[f.flow_id] = count if f.maxloop is None else f.maxloop
+        competitors: dict[int, int] = {}
+        maxloops: dict[int, int] = {}
+        for f, key in zip(self.flows, keys):
+            count = competitors[f.flow_id] = at_dst[key[1]] - at_ring_dst[key]
+            maxloops[f.flow_id] = count if f.maxloop is None else f.maxloop
+        self._competitors = competitors
+        self.maxloops = maxloops
         self._interference: dict[int, InterferenceSets] = {}
 
     def __iter__(self):
@@ -306,25 +348,35 @@ class Flowset:
     def flow(self, flow_id: int) -> Flow:
         return self._by_id[flow_id]
 
+    def placement(self, flow_id: int) -> Route:
+        """The flow's route: its ring, the ring positions of its source and
+        destination switches, and its path."""
+        return self._place[flow_id]
+
     def ring_of(self, flow_id: int) -> Ring:
-        return self.topology.rings[self._place[flow_id][0]]
+        return self.topology.rings[self._place[flow_id].ring]
 
     def path_of(self, flow_id: int) -> tuple[SwitchId, ...]:
-        return self._paths[flow_id]
+        return self._place[flow_id].path
 
     def buffer_of(self, flow_id: int) -> int:
-        return self.ring_buffers[self._place[flow_id][0]]
+        return self.ring_buffers[self._place[flow_id].ring]
 
     def src_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id][1]
+        return self._place[flow_id].path[0]
 
     def dst_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id][2]
+        return self._place[flow_id].path[-1]
+
+    def injected_at(self, switch: SwitchId) -> Sequence[int]:
+        """Ids of every flow injected at ``switch``, in flow order (empty if
+        none is).  Read only: the flowset and its copies share it."""
+        return self._by_src.get(switch, ())
 
     def injection_sharers(self, flow_id: int) -> tuple[int, ...]:
         """The other flows injected at the flow's source switch, any ring;
         they compete for the switch's single injection link."""
-        return tuple(g for g in self._by_src[self._place[flow_id][1]] if g != flow_id)
+        return tuple(g for g in self._by_src[self.src_switch(flow_id)] if g != flow_id)
 
     def with_maxloop(self, maxloop: int) -> "Flowset":
         """Copy of this flowset with one maxloop value for every flow.
@@ -340,8 +392,14 @@ class Flowset:
 
     def split_ring_peers(self, flow_id: int) -> tuple[list[int], list[int]]:
         """The flow's ring peers as (upstream, deflected-only) ids, in the
-        order they joined the ring (see ``InterferenceSets``)."""
-        ring, _, _, p, _ = self._place[flow_id]
+        order they joined the ring.
+
+        Upstream peers' source-to-destination paths cross the flow's source
+        switch, so their packets pass it even when never deflected; the
+        others cross it only while looping after a deflection.
+        """
+        place = self._place
+        ring, p, _, _ = place[flow_id]
         n = len(self.topology.rings[ring])
         upstream: list[int] = []
         deflected: list[int] = []
@@ -349,7 +407,7 @@ class Flowset:
             if g == flow_id:
                 continue
             # g's path covers ring positions i, i + 1, ..., j (mod n).
-            _, _, _, i, j = self._place[g]
+            _, i, j, _ = place[g]
             if (p - i) % n <= (j - i) % n:
                 upstream.append(g)
             else:
@@ -360,13 +418,9 @@ class Flowset:
         cached = self._interference.get(flow_id)
         if cached is not None:
             return cached
-        upstream, deflected = self.split_ring_peers(flow_id)
-        ring = self._place[flow_id][0]
+        ring = self._place[flow_id].ring
         sets = InterferenceSets(
-            ring_peers=tuple(g for g in self._by_ring[ring] if g != flow_id),
-            upstream=tuple(upstream),
-            deflected_only=tuple(deflected),
-        )
+            ring_peers=tuple(g for g in self._by_ring[ring] if g != flow_id))
         self._interference[flow_id] = sets
         return sets
 

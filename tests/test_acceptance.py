@@ -57,10 +57,8 @@ def test_1_analytic_dominance():
                 continue
             assert fp.bound is not None, (fb.flow_id, budget)
             assert fp.bound <= fb.bound, (fb.flow_id, budget)
-            sets = fs.interference_sets(fb.flow_id)
-            wide_deflector = any(
-                fs.flow(j).length > 1 for j in sets.deflected_only
-            )
+            _, deflected = fs.split_ring_peers(fb.flow_id)
+            wide_deflector = any(fs.flow(j).length > 1 for j in deflected)
             if budget >= 1 and wide_deflector:
                 assert fp.bound < fb.bound, (fb.flow_id, budget)
                 strict += 1
@@ -93,15 +91,16 @@ def test_2_zero_budget_equivalence():
 def _scan_fixed_point(fs, fid, mode):
     """Smallest I with rhs(I) == I, found by trying every value in order."""
     sets = fs.interference_sets(fid)
+    upstream, _ = fs.split_ring_peers(fid)
 
     def rhs(value):
         total = 1
-        for j in sets.upstream:
+        for j in upstream:
             g = fs.flow(j)
             total += -(-(value + g.jitter) // g.period) * g.length
         for j in sets.ring_peers:
             g = fs.flow(j)
-            charge = g.length if mode is BASE or j in sets.upstream else 1
+            charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
         return total
 

@@ -43,16 +43,17 @@ def _ceil(a: int, b: int) -> int:
 def _scan_idle(fs, fid, mode, jmap=None):
     """Least fixed point of the head-of-queue busy period, by linear scan."""
     sets = fs.interference_sets(fid)
+    upstream, _ = fs.split_ring_peers(fid)
     jmap = jmap or {}
 
     def rhs(value: int) -> int:
         total = 1
-        for j in sets.upstream:
+        for j in upstream:
             g = fs.flow(j)
             total += _ceil(value + g.jitter + jmap.get(j, 0), g.period) * g.length
         for j in sets.ring_peers:
             g = fs.flow(j)
-            charge = g.length if mode is BASE or j in sets.upstream else 1
+            charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
         return total
 

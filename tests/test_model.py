@@ -5,7 +5,9 @@ brute-force helpers defined alongside the tests, then frozen here.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -157,8 +159,7 @@ class TestInterferenceSets:
         sets = fs.interference_sets(0)
         assert sets.ring_peers == ()
         assert fs.injection_sharers(0) == ()
-        assert sets.upstream == ()
-        assert sets.deflected_only == ()
+        assert fs.split_ring_peers(0) == ([], [])
 
     def test_peer_crossing_source_switch_is_upstream(self):
         top = perimeter_ring8()
@@ -166,8 +167,7 @@ class TestInterferenceSets:
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 0, 3)])
         sets = fs.interference_sets(0)
         assert sets.ring_peers == (1,)
-        assert sets.upstream == (1,)
-        assert sets.deflected_only == ()
+        assert fs.split_ring_peers(0) == ([1], [])
 
     def test_peer_avoiding_source_switch_is_deflected_only(self):
         top = perimeter_ring8()
@@ -175,8 +175,7 @@ class TestInterferenceSets:
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 2, 3)])
         sets = fs.interference_sets(0)
         assert sets.ring_peers == (1,)
-        assert sets.upstream == ()
-        assert sets.deflected_only == (1,)
+        assert fs.split_ring_peers(0) == ([], [1])
 
     def test_same_source_switch_shares_injection_link(self):
         top = perimeter_ring8()
@@ -197,7 +196,7 @@ class TestInterferenceSets:
         fs = Flowset(top, flows)
         for f in fs:
             sets = fs.interference_sets(f.flow_id)
-            up, de = set(sets.upstream), set(sets.deflected_only)
+            up, de = map(set, fs.split_ring_peers(f.flow_id))
             assert up | de == set(sets.ring_peers)
             assert up & de == set()
 
@@ -280,6 +279,35 @@ class TestFlowsetBuild:
                 ring, switches.index(s), switches.index(d), walks[ring]
             )
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_route_table_ignores_lookup_order(self, n):
+        pairs = [(s, d) for s in range(n * n) for d in range(n * n)]
+        shuffled = pairs[:]
+        random.Random(f"route-order:{n}").shuffle(shuffled)
+        for order in (shuffled, pairs[::-1]):
+            top = generate_rlrec(n, n)
+            routes = {pair: top.route(*pair) for pair in order}
+            for (s, d), route in routes.items():
+                walks = {r.ring_id: _walk(r, s, d)
+                         for r in top.rings if s in r.switches and d in r.switches}
+                ring = min(walks, key=lambda r: (len(walks[r]), r))
+                switches = top.rings[ring].switches
+                assert route == (
+                    ring, switches.index(s), switches.index(d), walks[ring]
+                ), (s, d)
+
+    def test_route_to_self_and_unconnected_pair_after_fill(self):
+        top = NetworkTopology(rows=2, cols=4, rings=(
+            Ring(0, (0, 1, 2, 3)), Ring(1, (3, 2, 1, 0)), Ring(2, (4, 5, 6, 7)),
+        ))
+        # The first lookup from switch 1 fills its whole source.
+        assert top.route(1, 3) == (0, 1, 3, (1, 2, 3))
+        assert top.route(1, 0) == (1, 2, 3, (1, 0))
+        assert top.route(1, 1) == (0, 1, 1, (1,))
+        assert top.route(1, 6) is None
+        assert top.route(6, 1) is None
+        assert top.route(6, 6) == (2, 2, 2, (6,))
+
     def test_unconnected_pair_names_the_flow(self):
         top = NetworkTopology(rows=2, cols=4, rings=(
             Ring(0, (0, 1, 2, 3)), Ring(1, (4, 5, 6, 7)),
@@ -345,9 +373,9 @@ def test_path_endpoints_and_length_on_generated_grids(data):
 
 
 def _reference_index(top: NetworkTopology, flows: list[Flow]):
-    """Ring choice, Oldest-First counts, paths, interference sets and
-    injection sharers, each by a direct scan over every ring or every pair
-    of flows."""
+    """Ring choice, Oldest-First counts, paths, interference sets, their
+    (upstream, deflected-only) split and injection sharers, each by a direct
+    scan over every ring or every pair of flows."""
     rings = {}
     for f in flows:
         ring = best_len = None
@@ -370,7 +398,7 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
     paths = {
         f.flow_id: top.rings[rings[f.flow_id]].path(f.src, f.dst) for f in flows
     }
-    sets, sharing = {}, {}
+    sets, split, sharing = {}, {}, {}
     for f in flows:
         peers, sharers, upstream, deflected = [], [], [], []
         for g in flows:
@@ -384,11 +412,10 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
                     upstream.append(g.flow_id)
                 else:
                     deflected.append(g.flow_id)
-        sets[f.flow_id] = InterferenceSets(
-            tuple(peers), tuple(upstream), tuple(deflected)
-        )
+        sets[f.flow_id] = InterferenceSets(tuple(peers))
+        split[f.flow_id] = (upstream, deflected)
         sharing[f.flow_id] = tuple(sharers)
-    return rings, competitors, paths, sets, sharing
+    return rings, competitors, paths, sets, split, sharing
 
 
 @st.composite
@@ -424,7 +451,7 @@ class TestFlowsetIndex:
     def test_index_matches_pairwise_scans(self, case):
         top, flows = case
         fs = Flowset(top, flows)
-        rings, competitors, paths, sets, sharing = _reference_index(top, flows)
+        rings, competitors, paths, sets, split, sharing = _reference_index(top, flows)
         assert fs.flows == tuple(flows)
         for f in fs:
             assert fs.ring_of(f.flow_id).ring_id == rings[f.flow_id]
@@ -437,6 +464,7 @@ class TestFlowsetIndex:
             assert fs.dst_switch(f.flow_id) == f.dst
             assert fs.path_of(f.flow_id) == paths[f.flow_id]
             assert fs.interference_sets(f.flow_id) == sets[f.flow_id]
+            assert fs.split_ring_peers(f.flow_id) == split[f.flow_id]
             assert fs.injection_sharers(f.flow_id) == sharing[f.flow_id]
 
     @settings(max_examples=60, deadline=None)
@@ -468,6 +496,25 @@ class TestFlowsetIndex:
             st.sampled_from([(outside, inside), (inside, outside)])
         )
         at = data.draw(st.integers(0, len(flows)))
+        field = "src" if bad[0] == outside else "dst"
+        message = (f"flow {len(flows)}: {field} core {outside} outside "
+                   f"{top.rows}x{top.cols} grid")
         flows = flows[:at] + [make_flow(len(flows), *bad)] + flows[at:]
-        with pytest.raises(ModelError, match="outside grid"):
+        with pytest.raises(ModelError, match=f"^{message}$"):
             Flowset(top, flows)
+
+    def test_first_bad_flow_in_flow_order_is_reported(self):
+        # Two rings that share no switch: cores 0-3 never reach cores 4-7.
+        top = NetworkTopology(rows=2, cols=4, rings=(
+            Ring(0, (0, 1, 2, 3)), Ring(1, (4, 5, 6, 7)),
+        ))
+        defects = [
+            (make_flow(0, 1, 3), "duplicate flow id 0"),
+            (make_flow(5, 9, 0), "flow 5: src core 9 outside 2x4 grid"),
+            (make_flow(6, 1, -1), "flow 6: dst core -1 outside 2x4 grid"),
+            (make_flow(7, 1, 6), "flow 7: no ring connects cores 1 and 6"),
+        ]
+        for order in permutations(defects):
+            flows = [make_flow(0, 0, 2)] + [flow for flow, _ in order]
+            with pytest.raises(ModelError, match=f"^{order[0][1]}$"):
+                Flowset(top, flows)
