@@ -113,6 +113,19 @@ def _parse_flow(entry: Any, index: int, path: str, text: str) -> Flow:
     raise AssertionError("unreachable")
 
 
+def _parse_flows(raw: list, path: str, text: str) -> list[Flow]:
+    """The file's flows in order; an ``id`` seen before is named at the line
+    of its repeat."""
+    flows: dict[int, Flow] = {}
+    for i, entry in enumerate(raw):
+        flow = _parse_flow(entry, i, path, text)
+        if flow.flow_id in flows:
+            _fail(path, "id", f"repeats flow id {flow.flow_id}",
+                  _line_of(text, "id", i + 1))
+        flows[flow.flow_id] = flow
+    return list(flows.values())
+
+
 def _parse_topology(doc: Mapping[str, Any], path: str,
                     text: str) -> NetworkTopology:
     rows = _get_int(doc, "rows", path, text, minimum=2)
@@ -120,15 +133,17 @@ def _parse_topology(doc: Mapping[str, Any], path: str,
     if "rings" not in doc or doc["rings"] is None:
         return generate_rlrec(rows, cols)
     raw = doc["rings"]
-    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
-        _fail(path, "rings", "must be a list of switch-id lists",
+    # A switch id is an int; bool, an int subtype, is not one.
+    if not isinstance(raw, list) or not all(
+            isinstance(r, list) and all(type(s) is int for s in r) for r in raw):
+        _fail(path, "rings", "must be a list of integer switch-id lists",
               _line_of(text, "rings"))
     try:
         rings = tuple(
             Ring(ring_id=i, switches=tuple(sw)) for i, sw in enumerate(raw)
         )
         return NetworkTopology(rows=rows, cols=cols, rings=rings)
-    except (ModelError, TypeError) as exc:
+    except ModelError as exc:
         _fail(path, "rings", f"is invalid: {exc}", _line_of(text, "rings"))
     raise AssertionError("unreachable")
 
@@ -141,7 +156,7 @@ def load_flowset(path: str) -> Flowset:
     raw_flows = doc.get("flows", [])
     if not isinstance(raw_flows, list):
         _fail(path, "flows", "must be a list", _line_of(text, "flows"))
-    flows = [_parse_flow(e, i, path, text) for i, e in enumerate(raw_flows)]
+    flows = _parse_flows(raw_flows, path, text)
     try:
         return Flowset(topology, flows)
     except ModelError as exc:
@@ -181,7 +196,7 @@ def load_traffic(path: str) -> tuple[Flow, ...]:
     raw_flows = doc.get("flows")
     if not isinstance(raw_flows, list) or not raw_flows:
         _fail(path, "flows", "must be a non-empty list", _line_of(text, "flows"))
-    return tuple(_parse_flow(e, i, path, text) for i, e in enumerate(raw_flows))
+    return tuple(_parse_flows(raw_flows, path, text))
 
 
 def load_sweep_config(path: str) -> SweepConfig:

@@ -75,11 +75,7 @@ class Ring:
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """A switch grid plus its ring placement.
-
-    ``rings_through(s)`` is the set of rings sharing switch s's single
-    ejection link and its single injection link: every ring passing s.
-    """
+    """A switch grid plus its ring placement."""
 
     rows: int
     cols: int
@@ -101,8 +97,6 @@ class NetworkTopology:
                     )
                 through[s].append((i, pos))
         object.__setattr__(self, "_through", through)
-        object.__setattr__(self, "_sharing", {
-            s: frozenset(r for r, _ in rings) for s, rings in through.items()})
         object.__setattr__(self, "_walks", [r.switches * 2 for r in self.rings])
         object.__setattr__(self, "_nearest", {})
         object.__setattr__(self, "_routes", {})
@@ -110,9 +104,6 @@ class NetworkTopology:
     @property
     def n_switches(self) -> int:
         return self.rows * self.cols
-
-    def rings_through(self, switch: SwitchId) -> frozenset[RingId]:
-        return self._sharing[switch]  # type: ignore[attr-defined]
 
     def route(self, src: SwitchId, dst: SwitchId) -> Route | None:
         """The route on the ring with fewest hops from src to dst, lower ring
@@ -251,16 +242,6 @@ class Flow:
             raise ModelError(f"flow {self.flow_id}: maxloop must be >= 0")
 
 
-@dataclass(frozen=True)
-class InterferenceSets:
-    """Flow ids that can delay a given flow.
-
-    ring_peers: flows sharing the ring (the whole interference domain).
-    """
-
-    ring_peers: tuple[int, ...]
-
-
 class Flowset:
     """An immutable set of flows finalized against a topology.
 
@@ -273,10 +254,12 @@ class Flowset:
     first flow in flow order with a duplicate id, a core outside the grid or
     no ring joining its cores is rejected.  ``maxloops`` maps each flow id to
     its effective deflection budget: the flow's own ``maxloop`` when the
-    input fixes one, its competitor count otherwise.  Interference sets are
-    read from the buckets on first use and cached.  None of this but
-    ``maxloops`` depends on the budget, so the copies made by
-    ``with_maxloop`` share all of it.
+    input fixes one, its competitor count otherwise.  Per flow, readers get
+    ``placement`` (the route), ``injected_at`` (the source bucket),
+    ``split_ring_peers`` and ``interference_sets`` (the ring bucket),
+    ``maxloops`` and ``ring_buffers``.  None of this but ``maxloops``
+    depends on the budget, so the copies made by ``with_maxloop`` share all
+    of it.
     """
 
     def __init__(
@@ -337,7 +320,6 @@ class Flowset:
             maxloops[f.flow_id] = count if f.maxloop is None else f.maxloop
         self._competitors = competitors
         self.maxloops = maxloops
-        self._interference: dict[int, InterferenceSets] = {}
 
     def __iter__(self):
         return iter(self.flows)
@@ -353,36 +335,16 @@ class Flowset:
         destination switches, and its path."""
         return self._place[flow_id]
 
-    def ring_of(self, flow_id: int) -> Ring:
-        return self.topology.rings[self._place[flow_id].ring]
-
-    def path_of(self, flow_id: int) -> tuple[SwitchId, ...]:
-        return self._place[flow_id].path
-
-    def buffer_of(self, flow_id: int) -> int:
-        return self.ring_buffers[self._place[flow_id].ring]
-
-    def src_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id].path[0]
-
-    def dst_switch(self, flow_id: int) -> SwitchId:
-        return self._place[flow_id].path[-1]
-
     def injected_at(self, switch: SwitchId) -> Sequence[int]:
         """Ids of every flow injected at ``switch``, in flow order (empty if
         none is).  Read only: the flowset and its copies share it."""
         return self._by_src.get(switch, ())
 
-    def injection_sharers(self, flow_id: int) -> tuple[int, ...]:
-        """The other flows injected at the flow's source switch, any ring;
-        they compete for the switch's single injection link."""
-        return tuple(g for g in self._by_src[self.src_switch(flow_id)] if g != flow_id)
-
     def with_maxloop(self, maxloop: int) -> "Flowset":
         """Copy of this flowset with one maxloop value for every flow.
 
-        The copy shares this flowset's flows, index, buffers, paths and
-        interference sets; only its ``maxloops`` differ.
+        The copy shares this flowset's flows, index, buffers and routes;
+        only its ``maxloops`` differ.
         """
         if maxloop < 0:
             raise ModelError("maxloop must be >= 0")
@@ -414,15 +376,11 @@ class Flowset:
                 deflected.append(g)
         return upstream, deflected
 
-    def interference_sets(self, flow_id: int) -> InterferenceSets:
-        cached = self._interference.get(flow_id)
-        if cached is not None:
-            return cached
+    def interference_sets(self, flow_id: int) -> tuple[int, ...]:
+        """Ids of the flows sharing the flow's ring, in the order they
+        joined it: its whole interference domain."""
         ring = self._place[flow_id].ring
-        sets = InterferenceSets(
-            ring_peers=tuple(g for g in self._by_ring[ring] if g != flow_id))
-        self._interference[flow_id] = sets
-        return sets
+        return tuple(g for g in self._by_ring[ring] if g != flow_id)
 
 
 def no_load_latency(flowset: Flowset, flow_id: int) -> int:
@@ -433,7 +391,7 @@ def no_load_latency(flowset: Flowset, flow_id: int) -> int:
     length - 1 flits follow in consecutive cycles.
     """
     flow = flowset.flow(flow_id)
-    return len(flowset.path_of(flow_id)) + 1 + flow.length - 1
+    return len(flowset.placement(flow_id).path) + 1 + flow.length - 1
 
 
 def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:

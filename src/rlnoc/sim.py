@@ -192,13 +192,13 @@ class _Packet:
     header-only deflected header has not yet passed its origin.
     """
 
-    __slots__ = ("record", "length", "src_port", "dst_switch", "ring", "key",
+    __slots__ = ("record", "length", "src_port", "dst", "ring", "key",
                  "flagged")
 
     def __init__(self, record: PacketRecord,
                  facts: tuple[int, int, int, int]) -> None:
         self.record = record
-        self.length, self.src_port, self.dst_switch, self.ring = facts
+        self.length, self.src_port, self.dst, self.ring = facts
         self.key: tuple[int, int, int] | None = None
         self.flagged = False
 
@@ -265,23 +265,22 @@ class _Simulator:
         self.flow_facts: dict[int, tuple[int, int, int, int]] = {}
         for f in flowset:
             fid = f.flow_id
-            ring = flowset.ring_of(fid)
-            src_port = (self.ring_base[ring.ring_id]
-                        + ring.position(flowset.src_switch(fid)))
+            ring, src_pos, _, path = flowset.placement(fid)
             self.flow_facts[fid] = (
-                f.length, src_port, flowset.dst_switch(fid), ring.ring_id
+                f.length, self.ring_base[ring] + src_pos, path[-1], ring
             )
             # A deflected packet longer than its ring would catch its own
             # tail (two of its flits on one link).  Deflection requires a
             # competitor: another flow on the ring or at the ejection link.
             can_deflect = (
                 maxloop_oldest_first(flowset, fid) > 0
-                or flowset.interference_sets(fid).ring_peers
+                or flowset.interference_sets(fid)
             )
-            if can_deflect and f.length > len(ring):
+            n = len(top.rings[ring])
+            if can_deflect and f.length > n:
                 raise ModelError(
                     f"flow {f.flow_id}: length {f.length} exceeds its ring "
-                    f"({len(ring)} switches); a deflected packet would "
+                    f"({n} switches); a deflected packet would "
                     f"overlap itself"
                 )
 
@@ -394,7 +393,7 @@ class _Simulator:
                         continue
                 elif not packet.flagged:
                     switch = port_switch[port]
-                    if switch == packet.dst_switch:
+                    if switch == packet.dst:
                         if wanting is None:
                             wanting = {}
                         wanting.setdefault(switch, []).append(
@@ -408,7 +407,7 @@ class _Simulator:
                         packet.flagged = False
                         drops += 1
                         consumed += 1
-                        pend = pending.get(packet.dst_switch)
+                        pend = pending.get(packet.dst)
                         if pend:
                             pend.discard(packet)
                     continue

@@ -90,7 +90,7 @@ def test_2_zero_budget_equivalence():
 
 def _scan_fixed_point(fs, fid, mode):
     """Smallest I with rhs(I) == I, found by trying every value in order."""
-    sets = fs.interference_sets(fid)
+    peers = fs.interference_sets(fid)
     upstream, _ = fs.split_ring_peers(fid)
 
     def rhs(value):
@@ -98,7 +98,7 @@ def _scan_fixed_point(fs, fid, mode):
         for j in upstream:
             g = fs.flow(j)
             total += -(-(value + g.jitter) // g.period) * g.length
-        for j in sets.ring_peers:
+        for j in peers:
             g = fs.flow(j)
             charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
@@ -198,10 +198,11 @@ def _schedulable_corpus(grid: int, count: int):
             fs = Flowset(top, flows)
         except ModelError:
             continue
-        keys = {(fs.ring_of(f.flow_id).ring_id, fs.dst_switch(f.flow_id)) for f in fs}
+        rings = {f.flow_id: fs.placement(f.flow_id).ring for f in fs}
+        keys = {(rings[f.flow_id], f.dst) for f in fs}
         if len(keys) < len(fs):
             continue
-        if any(f.length > len(fs.ring_of(f.flow_id)) for f in fs):
+        if any(f.length > len(top.rings[rings[f.flow_id]]) for f in fs):
             continue
         report = analyze(fs, BASE)
         if not report.schedulable:

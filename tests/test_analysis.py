@@ -42,7 +42,7 @@ def _ceil(a: int, b: int) -> int:
 
 def _scan_idle(fs, fid, mode, jmap=None):
     """Least fixed point of the head-of-queue busy period, by linear scan."""
-    sets = fs.interference_sets(fid)
+    peers = fs.interference_sets(fid)
     upstream, _ = fs.split_ring_peers(fid)
     jmap = jmap or {}
 
@@ -51,7 +51,7 @@ def _scan_idle(fs, fid, mode, jmap=None):
         for j in upstream:
             g = fs.flow(j)
             total += _ceil(value + g.jitter + jmap.get(j, 0), g.period) * g.length
-        for j in sets.ring_peers:
+        for j in peers:
             g = fs.flow(j)
             charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
@@ -139,7 +139,7 @@ class TestPreInjectionQueue:
     def test_one_sharer(self):
         top = multi_ring_2x4()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 1, 5, length=8)])
-        assert fs.ring_of(1).ring_id == 2
+        assert fs.placement(1).ring == 2
         assert pre_injection_idle(fs, 1, BASE) == 1
         assert pre_injection_queue(fs, 0, {1: 1}) == 9
 
@@ -152,7 +152,7 @@ class TestPreInjectionQueue:
             make_flow(3, 5, 2, length=4),  # ring 1, crosses switch 1 -> idle(2)=5
         ]
         fs = Flowset(top, flows)
-        assert fs.ring_of(2).ring_id == 1 and fs.ring_of(3).ring_id == 1
+        assert fs.placement(2).ring == 1 and fs.placement(3).ring == 1
         idle = {j: pre_injection_idle(fs, j, BASE) for j in (1, 2)}
         assert idle == {1: 1, 2: 5}
         assert pre_injection_queue(fs, 0, idle) == 18
@@ -202,7 +202,7 @@ class TestResponseTime:
         for mode in (BASE, PROP):
             for f in fs:
                 fa = response_time(fs, f.flow_id, mode)
-                ring = fs.ring_of(f.flow_id)
+                ring = fs.topology.rings[fs.placement(f.flow_id).ring]
                 assert fa.bound == (
                     fa.no_load
                     + len(ring) * fs.maxloops[f.flow_id]
@@ -276,9 +276,12 @@ def _sweep_sized_draws():
 
 
 def _floor(fs: Flowset, fid: int) -> int:
-    """The bound with every idle wait at its least value, 1."""
-    own = no_load_latency(fs, fid) + len(fs.ring_of(fid)) * fs.maxloops[fid]
-    sharers = fs.injection_sharers(fid)
+    """The bound with every idle wait at its least value, 1.  The injection
+    sharers are found by a scan of every flow's source core."""
+    ring = fs.topology.rings[fs.placement(fid).ring]
+    own = no_load_latency(fs, fid) + len(ring) * fs.maxloops[fid]
+    src = fs.flow(fid).src
+    sharers = [g.flow_id for g in fs if g.src == src and g.flow_id != fid]
     return (own + post_injection(fs, fid) + 1
             + sum(fs.flow(g).length + 1 for g in sharers))
 

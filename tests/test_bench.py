@@ -75,9 +75,9 @@ class TestGeneration:
             assert 16 <= f.length <= 48
             assert 0 <= f.jitter <= f.period // 2
             assert f.src != f.dst
-            ring = fs.ring_of(f.flow_id)
-            assert fs.src_switch(f.flow_id) in ring
-            assert fs.dst_switch(f.flow_id) in ring
+            ring = fs.topology.rings[fs.placement(f.flow_id).ring]
+            assert f.src in ring
+            assert f.dst in ring
 
     def test_empty_flowset_is_trivially_schedulable(self):
         cfg = SweepConfig()

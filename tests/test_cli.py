@@ -152,6 +152,19 @@ class TestAnalyzeCommand:
         assert "'T'" in err and "missing" in err
 
 
+    @pytest.mark.parametrize("switch", ["1.5", "true", "2.0"])
+    def test_non_integer_switch_id_exit_two(self, tmp_path, capsys, switch):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 2, "cols": 2,\n'
+                       f' "rings": [[0, {switch}, 3, 2]], "flows": []}}\n')
+        rc = cli.main(["analyze", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: field 'rings' must be a list of integer "
+            f"switch-id lists (line 2)\n"
+        )
+        assert not (tmp_path / "report.csv").exists()
+
     def test_out_dir_below_a_file_exit_two(self, small_flowset, capsys):
         out = f"{small_flowset}/x"
         rc = cli.main(["analyze", small_flowset, "--out-dir", out])
@@ -397,6 +410,31 @@ class TestImproveCommand:
         ])
         assert rc == 2
         assert "endpoints" in capsys.readouterr().err
+
+
+_DUPLICATE_FLOWS = (
+    '"flows": [\n'
+    ' {"id": 0, "T": 100, "D": 100, "L": 2, "J": 0, "src": 0, "dst": 3},\n'
+    ' {"id": 0, "T": 100, "D": 100, "L": 2, "J": 0, "src": 1, "dst": 2}\n'
+    ']}\n'
+)
+
+
+@pytest.mark.parametrize("command, document", [
+    (["analyze"], '{"rows": 2, "cols": 2,\n'),
+    (["simulate"], '{"rows": 2, "cols": 2,\n'),
+    (["improve", "--grid", "2", "--mappings", "1", "--traffic"], "{\n"),
+])
+def test_repeated_flow_id_names_file_field_and_line(
+        tmp_path, capsys, command, document):
+    bad = tmp_path / "dup.json"
+    bad.write_text(document + _DUPLICATE_FLOWS)
+    rc = cli.main(command + [str(bad), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field 'id' repeats flow id 0 (line 4)\n"
+    )
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".csv"]
 
 
 class TestOutDir:

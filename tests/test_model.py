@@ -17,7 +17,6 @@ from conftest import make_flow, perimeter_ring8, single_flow_ring8
 from rlnoc.model import (
     Flow,
     Flowset,
-    InterferenceSets,
     ModelError,
     NetworkTopology,
     Ring,
@@ -89,30 +88,24 @@ class TestRingGeneration:
         assert len(outer) == 2
         assert outer[0].switches == tuple(reversed(outer[1].switches))
 
-    def test_sharing_maps_list_rings_through_each_switch(self):
-        top = generate_rlrec(4, 4)
-        for s in range(16):
-            expected = frozenset(r.ring_id for r in top.rings if s in r)
-            assert top.rings_through(s) == expected
-
 
 class TestPath:
     def test_four_switch_arc_on_perimeter_ring(self):
         fs = single_flow_ring8()
         # src core 1 sits second on the ring, dst core 7 sits fourth.
-        assert fs.path_of(0) == (1, 2, 3, 7)
-        assert len(fs.path_of(0)) == 4
+        assert fs.placement(0).path == (1, 2, 3, 7)
+        assert len(fs.placement(0).path) == 4
 
     def test_adjacent_switches(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 2)])
-        assert fs.path_of(0) == (1, 2)
+        assert fs.placement(0).path == (1, 2)
 
     def test_wraparound_matches_step_oracle(self):
         top = perimeter_ring8()
         ring = top.rings[0]
         fs = Flowset(top, [make_flow(0, 6, 0)])  # crosses the cyclic seam
-        assert fs.path_of(0) == _walk(ring, 6, 0)
+        assert fs.placement(0).path == _walk(ring, 6, 0)
 
     @given(
         src=st.integers(0, 7),
@@ -150,38 +143,35 @@ class TestNoLoadLatency:
         fs = Flowset(perimeter_ring8(), [make_flow(0, src, dst, length=length)])
         c = no_load_latency(fs, 0)
         assert c >= length + 2
-        assert c == len(fs.path_of(0)) + 1 + length - 1
+        assert c == len(fs.placement(0).path) + 1 + length - 1
 
 
 class TestInterferenceSets:
     def test_single_flow_has_empty_sets(self):
         fs = single_flow_ring8()
-        sets = fs.interference_sets(0)
-        assert sets.ring_peers == ()
-        assert fs.injection_sharers(0) == ()
+        assert fs.interference_sets(0) == ()
+        assert list(fs.injected_at(1)) == [0]
         assert fs.split_ring_peers(0) == ([], [])
 
     def test_peer_crossing_source_switch_is_upstream(self):
         top = perimeter_ring8()
         # flow 0: 1 -> 7 (path 1,2,3,7); flow 1: 0 -> 3 passes switch 1.
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 0, 3)])
-        sets = fs.interference_sets(0)
-        assert sets.ring_peers == (1,)
+        assert fs.interference_sets(0) == (1,)
         assert fs.split_ring_peers(0) == ([1], [])
 
     def test_peer_avoiding_source_switch_is_deflected_only(self):
         top = perimeter_ring8()
         # flow 1: 2 -> 3 never crosses switch 1 on its direct path.
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 2, 3)])
-        sets = fs.interference_sets(0)
-        assert sets.ring_peers == (1,)
+        assert fs.interference_sets(0) == (1,)
         assert fs.split_ring_peers(0) == ([], [1])
 
     def test_same_source_switch_shares_injection_link(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 1, 3)])
-        assert fs.injection_sharers(0) == (1,)
-        assert fs.injection_sharers(1) == (0,)
+        assert list(fs.injected_at(1)) == [0, 1]
+        assert list(fs.injected_at(7)) == []
 
     def test_upstream_and_deflected_partition_ring_peers(self):
         top = generate_rlrec(4, 4)
@@ -195,9 +185,8 @@ class TestInterferenceSets:
         ]
         fs = Flowset(top, flows)
         for f in fs:
-            sets = fs.interference_sets(f.flow_id)
             up, de = map(set, fs.split_ring_peers(f.flow_id))
-            assert up | de == set(sets.ring_peers)
+            assert up | de == set(fs.interference_sets(f.flow_id))
             assert up & de == set()
 
 
@@ -252,7 +241,7 @@ class TestFlowsetBuild:
         )
         top = NetworkTopology(rows=2, cols=3, rings=rings)
         fs = Flowset(top, [make_flow(0, 0, 3)])
-        assert fs.ring_of(0).ring_id == 1
+        assert fs.placement(0).ring == 1
 
     def test_ring_assignment_tie_breaks_on_lower_id(self):
         rings = (
@@ -261,7 +250,7 @@ class TestFlowsetBuild:
         )
         top = NetworkTopology(rows=2, cols=3, rings=rings)
         fs = Flowset(top, [make_flow(0, 0, 1)])
-        assert fs.ring_of(0).ring_id == 0
+        assert fs.placement(0).ring == 0
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_route_table_matches_brute_force(self, n):
@@ -273,8 +262,8 @@ class TestFlowsetBuild:
                      for r in top.rings if s in r.switches and d in r.switches}
             ring = min(walks, key=lambda r: (len(walks[r]), r))
             switches = top.rings[ring].switches
-            assert fs.ring_of(i).ring_id == ring
-            assert fs.path_of(i) == walks[ring]
+            assert fs.placement(i).ring == ring
+            assert fs.placement(i).path == walks[ring]
             assert top.route(s, d) == (
                 ring, switches.index(s), switches.index(d), walks[ring]
             )
@@ -319,8 +308,7 @@ class TestFlowsetBuild:
     def test_buffer_tracks_largest_packet_per_ring(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 2, 3, length=5)])
-        assert fs.ring_buffers[0] == 8
-        assert fs.buffer_of(0) == 8
+        assert fs.ring_buffers == {0: 8}
 
     def test_unconnected_endpoints_rejected(self):
         rings = (Ring(0, (0, 1)),)
@@ -353,8 +341,8 @@ class TestFlowsetBuild:
         fs = Flowset(top, [make_flow(0, 1, 7), make_flow(1, 2, 3)])
         fs2 = fs.with_maxloop(3)
         assert fs2.maxloops == {0: 3, 1: 3}
-        assert [fs2.ring_of(f.flow_id) for f in fs2] == [
-            fs.ring_of(f.flow_id) for f in fs
+        assert [fs2.placement(f.flow_id) for f in fs2] == [
+            fs.placement(f.flow_id) for f in fs
         ]
 
 
@@ -374,8 +362,8 @@ def test_path_endpoints_and_length_on_generated_grids(data):
 
 def _reference_index(top: NetworkTopology, flows: list[Flow]):
     """Ring choice, Oldest-First counts, paths, interference sets, their
-    (upstream, deflected-only) split and injection sharers, each by a direct
-    scan over every ring or every pair of flows."""
+    (upstream, deflected-only) split and the flows injected at each flow's
+    source, each by a direct scan over every ring or every pair of flows."""
     rings = {}
     for f in flows:
         ring = best_len = None
@@ -398,24 +386,24 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
     paths = {
         f.flow_id: top.rings[rings[f.flow_id]].path(f.src, f.dst) for f in flows
     }
-    sets, split, sharing = {}, {}, {}
+    sets, split, at_src = {}, {}, {}
     for f in flows:
-        peers, sharers, upstream, deflected = [], [], [], []
+        peers, same_src, upstream, deflected = [], [], [], []
         for g in flows:
+            if g.src == f.src:
+                same_src.append(g.flow_id)
             if g.flow_id == f.flow_id:
                 continue
-            if g.src == f.src:
-                sharers.append(g.flow_id)
             if rings[g.flow_id] == rings[f.flow_id]:
                 peers.append(g.flow_id)
                 if f.src in paths[g.flow_id]:
                     upstream.append(g.flow_id)
                 else:
                     deflected.append(g.flow_id)
-        sets[f.flow_id] = InterferenceSets(tuple(peers))
+        sets[f.flow_id] = tuple(peers)
         split[f.flow_id] = (upstream, deflected)
-        sharing[f.flow_id] = tuple(sharers)
-    return rings, competitors, paths, sets, split, sharing
+        at_src[f.flow_id] = tuple(same_src)
+    return rings, competitors, paths, sets, split, at_src
 
 
 @st.composite
@@ -451,21 +439,23 @@ class TestFlowsetIndex:
     def test_index_matches_pairwise_scans(self, case):
         top, flows = case
         fs = Flowset(top, flows)
-        rings, competitors, paths, sets, split, sharing = _reference_index(top, flows)
+        rings, competitors, paths, sets, split, at_src = _reference_index(top, flows)
         assert fs.flows == tuple(flows)
         for f in fs:
-            assert fs.ring_of(f.flow_id).ring_id == rings[f.flow_id]
+            ring = rings[f.flow_id]
+            switches = top.rings[ring].switches
+            assert fs.placement(f.flow_id) == (
+                ring, switches.index(f.src), switches.index(f.dst),
+                paths[f.flow_id]
+            )
             expected = f.maxloop
             if expected is None:
                 expected = competitors[f.flow_id]
             assert fs.maxloops[f.flow_id] == expected
             assert maxloop_oldest_first(fs, f.flow_id) == competitors[f.flow_id]
-            assert fs.src_switch(f.flow_id) == f.src
-            assert fs.dst_switch(f.flow_id) == f.dst
-            assert fs.path_of(f.flow_id) == paths[f.flow_id]
             assert fs.interference_sets(f.flow_id) == sets[f.flow_id]
             assert fs.split_ring_peers(f.flow_id) == split[f.flow_id]
-            assert fs.injection_sharers(f.flow_id) == sharing[f.flow_id]
+            assert tuple(fs.injected_at(f.src)) == at_src[f.flow_id]
 
     @settings(max_examples=60, deadline=None)
     @given(indexed_flowsets(), st.integers(0, 3))
@@ -479,8 +469,7 @@ class TestFlowsetIndex:
         assert copy.ring_buffers == fresh.ring_buffers
         for f in fresh:
             fid = f.flow_id
-            assert copy.ring_of(fid) == fresh.ring_of(fid)
-            assert copy.path_of(fid) == fresh.path_of(fid)
+            assert copy.placement(fid) == fresh.placement(fid)
             assert copy.interference_sets(fid) == fresh.interference_sets(fid)
             assert maxloop_oldest_first(copy, fid) == maxloop_oldest_first(fresh, fid)
         # The source flowset keeps its own maxloops.

@@ -146,7 +146,7 @@ class TestOldestFirst:
             make_flow(1, 1, 5, length=2),  # ring 2, length == ring length
         ]
         fs = Flowset(top, flows)
-        assert fs.ring_of(0).ring_id == 0 and fs.ring_of(1).ring_id == 2
+        assert fs.placement(0).ring == 0 and fs.placement(1).ring == 2
         base, prop = _both(fs, _Explicit({0: [0], 1: [0]}), 64)
         for trace in (base, prop):
             lat = _latencies(trace)
@@ -466,9 +466,9 @@ def _random_schedulable(seed: int):
         return None
     seen = set()
     for f in fs:
-        ring = fs.ring_of(f.flow_id)
-        key = (ring.ring_id, fs.dst_switch(f.flow_id))
-        if key in seen or f.length > len(ring):
+        ring = fs.placement(f.flow_id).ring
+        key = (ring, f.dst)
+        if key in seen or f.length > len(top.rings[ring]):
             return None
         seen.add(key)
     report = analyze(fs, BASE)
