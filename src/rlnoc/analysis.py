@@ -93,6 +93,21 @@ class _Climbs(NamedTuple):
         return windows.full if self.full else windows.header
 
 
+def _fixed(no_load: int, hops: int, lap: int, buf: int,
+           loops: int) -> tuple[int, int]:
+    """A flow's post-injection buffering and the fixed part of its bound.
+
+    Post-injection buffering: each of the ``hops`` switches after the source
+    can hold the packet for a full buffer drain of ``buf`` cycles, and each
+    of its ``loops`` own deflections adds one lap of ``lap`` links at one
+    buffer delay per link.  The fixed part adds the no-load latency and one
+    ring crossing per own deflection; the bound adds the idle and queue
+    waits to it.
+    """
+    post = (hops + loops * lap) * buf
+    return post, no_load + loops * lap + post
+
+
 class _Table:
     """Every flow's bound inputs, by position in ``flowset.flows``.
 
@@ -103,7 +118,8 @@ class _Table:
     outer passes run over lists.  A flow's row holds no protocol; its
     windows hold both, and each protocol keeps its own pass-1 climbs in
     ``modes``.  Each entry is built on first use: ``analyze`` builds them
-    all, while ``quick_verdict`` builds only what its screens reach.
+    all, while ``quick_verdict`` builds only what its screens reach, and
+    keeps its visiting order in ``order``.
 
     The table holds no reference to its flowset, which is passed to each
     builder, so the flowset's death frees it.  ``HARD_CAP`` is read when a
@@ -118,26 +134,18 @@ class _Table:
         self.modes = {mode: _Climbs(mode is ProtocolMode.BASELINE, [None] * n, [0] * n)
                       for mode in ProtocolMode}
         self.zero = [0] * n
+        self.order: list[int] | None = None
 
     def row(self, fs: Flowset, pos: int) -> _Row:
-        """The interference-free inputs of the flow at ``pos``.
-
-        Post-injection buffering: every downstream switch can hold the packet
-        for a full buffer drain, and each own deflection adds one lap of the
-        ring at one buffer delay per link.  The fixed part of the bound adds
-        the no-load latency and one ring crossing per own deflection; the
-        bound adds the idle and queue waits to it.
-        """
+        """The interference-free inputs of the flow at ``pos``."""
         row = self.rows[pos]
         if row is None:
             at, flows = self.at, fs.flows
             fid = flows[pos].flow_id
             ring, _, _, path = fs.placement(fid)
-            lap = len(fs.topology.rings[ring])
-            buf = fs.ring_buffers[ring]
-            loops = fs.maxloops[fid]
-            post = (len(path) - 1) * buf + loops * lap * buf
             no_load = no_load_latency(fs, fid)
+            post, fixed = _fixed(no_load, len(path) - 1, len(fs.topology.rings[ring]),
+                                 fs.ring_buffers[ring], fs.maxloops[fid])
             sharers: list[int] = []
             length = 0
             for g in fs.injected_at(path[0]):
@@ -145,10 +153,42 @@ class _Table:
                     p = at[g]
                     sharers.append(p)
                     length += flows[p].length
-            row = self.rows[pos] = _Row(
-                no_load, post, no_load + loops * lap + post, sharers, length
-            )
+            row = self.rows[pos] = _Row(no_load, post, fixed, sharers, length)
         return row
+
+    def visits(self, fs: Flowset) -> list[int] | None:
+        """Positions in ``quick_verdict``'s visiting order, least floor
+        slack first and ties in flow order, or None if a flow's floor
+        passes its deadline.
+
+        A flow's floor is its bound with every idle wait at its least
+        value, 1: its fixed part, one idle cycle, and one packet plus one
+        idle cycle for each flow sharing its injection link.  That is the
+        fixed part plus the injection load of its source switch (length + 1
+        summed over every flow injected there) less its own length.  The
+        floor needs no row, so none is built here; the order is kept.
+        """
+        order = self.order
+        if order is None:
+            flows = fs.flows
+            placement, buffers, loops = fs.placement, fs.ring_buffers, fs.maxloops
+            laps = [len(ring) for ring in fs.topology.rings]
+            load: dict[int, int] = {}  # core k attaches to switch k
+            for f in flows:
+                src = f.src
+                load[src] = load.get(src, 0) + f.length + 1
+            slack: list[int] = []
+            for f in flows:
+                fid = f.flow_id
+                ring, _, _, path = placement(fid)
+                fixed = _fixed(no_load_latency(fs, fid), len(path) - 1,
+                               laps[ring], buffers[ring], loops[fid])[1]
+                floor = fixed + load[f.src] - f.length
+                if floor > f.deadline:
+                    return None
+                slack.append(f.deadline - floor)
+            order = self.order = sorted(range(len(flows)), key=slack.__getitem__)
+        return order
 
     def windows(self, fs: Flowset, pos: int) -> _Windows:
         """The idle-bound terms and divergence cap of the flow at ``pos``.
@@ -443,27 +483,23 @@ def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:
     """Schedulability verdict only, with early exits.
 
     Sound because bounds rise monotonically across passes: one flow over its
-    deadline in any pass stays over it at the fixed point.  A constant-time
-    floor (idle wait of 1, one packet plus one idle cycle per sharer) screens
-    every flow from its row alone; then pass 1's bounds are computed flow by
-    flow, least floor slack first, up to the first miss.  Every jitter is 0
-    in pass 1, so each idle wait depends on its own flow alone and is
+    deadline in any pass stays over it at the fixed point.  A floor screens
+    every flow without building its row (``_Table.visits``); then pass 1's
+    bounds are computed flow by flow, least floor slack first, up to the
+    first miss, building a row only for each flow visited.  Every jitter is
+    0 in pass 1, so each idle wait depends on its own flow alone and is
     computed once: these are the bounds of pass 1 of ``_passes``, and their
-    order cannot change the verdict.  Both screens fill the flowset's table,
+    order cannot change the verdict.  The screen fills the flowset's table,
     which ``_passes`` then completes, so no row or window is built twice.
     """
     table = _table(flowset)
+    order = table.visits(flowset)
+    if order is None:
+        return False
     flows = flowset.flows
-    slack: list[int] = []
-    for pos, f in enumerate(flows):
-        row = table.row(flowset, pos)
-        floor = row.fixed + 1 + row.sharer_length + len(row.sharers)
-        if floor > f.deadline:
-            return False
-        slack.append(f.deadline - floor)
     climbs = table.modes[mode]
-    for pos in sorted(range(len(flows)), key=slack.__getitem__):  # ties keep flow order
-        row = table.rows[pos]
+    for pos in order:
+        row = table.row(flowset, pos)
         for p in row.sharers:
             table.first_idle(flowset, p, climbs)
         b = _bound(row.fixed, table.first_idle(flowset, pos, climbs),

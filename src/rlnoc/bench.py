@@ -17,8 +17,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from statistics import fmean
-from typing import (Iterator, NamedTuple, Sequence, get_args, get_origin,
-                    get_type_hints)
+from typing import (Callable, Iterator, NamedTuple, Sequence, get_args,
+                    get_origin, get_type_hints)
 
 from .analysis import ProtocolMode, analyze, quick_verdict
 from .model import Flow, Flowset, ModelError, NetworkTopology, generate_rlrec
@@ -82,6 +82,11 @@ class SweepConfig:
             raise bad("maxloops", "must list budgets >= 0")
         if not 0.0 < self.deadline_fraction <= 1.0:
             raise bad("deadline_fraction", "must be in (0, 1]")
+        # A repeat would count its flowsets once more in every row it shares.
+        for name in ("grids", "packet_ranges", "maxloops"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise bad(name, "must not repeat an entry")
 
     @classmethod
     def from_dict(cls, doc: object) -> "SweepConfig":
@@ -133,6 +138,27 @@ class SweepPoint:
         return self.schedulable_count / self.total if self.total else 0.0
 
 
+def _sampler(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``: a uniform draw from range(n), for n >= 1.
+
+    It runs the rejection loop of ``Random.randrange(n)`` on Python
+    3.10-3.13 (draw n.bit_length() bits until the value is below n), so it
+    takes the same bits from ``rng`` in the same order and returns the same
+    value, and ``randint(lo, hi)`` is ``lo + below(hi - lo + 1)``.  With
+    n = 0 the loop would never end, as ``getrandbits(0)`` is 0.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def generate_flowset(
     config: SweepConfig,
     topology: NetworkTopology,
@@ -144,26 +170,35 @@ def generate_flowset(
 
     Endpoint pairs are drawn uniformly over ordered distinct core pairs,
     independently per flow, so pairs repeat once the flow count passes the
-    number of available pairs.
+    number of available pairs.  Every value is drawn through ``_sampler``,
+    with the same bits from ``rng`` as ``rng.randint`` and
+    ``rng.randrange`` would take.
     """
     n_cores = topology.n_switches
     lo, hi = packet_range
     plo, phi = config.period_us
     jlo, jhi = config.jitter_fraction
     cycles, share = config.cycles_per_us, config.deadline_fraction
-    randint, randrange = rng.randint, rng.randrange
+    # Every width drawn below is at least 1: the config orders its ranges,
+    # and these are checked here.
+    if n_flows and (hi < lo or n_cores < 2):
+        raise ValueError(f"cannot draw flows of {lo}-{hi} flits "
+                         f"between {n_cores} cores")
+    below = _sampler(rng)
+    periods, lengths = phi - plo + 1, hi - lo + 1
     flows = []
     for i in range(n_flows):
-        period = randint(plo, phi) * cycles
-        jitter = randint(int(period * jlo), int(period * jhi))
-        src = randrange(n_cores)
-        dst = randrange(n_cores - 1)
+        period = (plo + below(periods)) * cycles
+        jitter = int(period * jlo)
+        jitter += below(int(period * jhi) - jitter + 1)
+        src = below(n_cores)
+        dst = below(n_cores - 1)
         if dst >= src:
             dst += 1
         # Flow(flow_id, period, deadline, length, jitter, src, dst); the
         # length is drawn last.
         flows.append(Flow(i, period, max(1, int(period * share)),
-                          randint(lo, hi), jitter, src, dst))
+                          lo + below(lengths), jitter, src, dst))
     return Flowset(topology, flows)
 
 
@@ -284,7 +319,7 @@ def improvement_report(
         rng = random.Random(f"{seed}:mapping:{mapping_id}")
         cores = rng.sample(range(n_cores), len(endpoints))
         placement = dict(zip(endpoints, cores))
-        # A direct build costs a third of ``dataclasses.replace``.
+        # A direct build costs about half of ``Flow._replace``.
         remapped = [
             Flow(f.flow_id, f.period, f.deadline, f.length, f.jitter,
                  placement[f.src], placement[f.dst], f.maxloop)

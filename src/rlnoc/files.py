@@ -14,7 +14,7 @@ import json
 import os
 import re
 from importlib import resources
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import AnalysisReport
 from .bench import SweepConfig
@@ -45,12 +45,47 @@ class FileFormatError(ValueError):
     """A data file failed to parse; the message names the field and line."""
 
 
-def _line_of(text: str, key: str, occurrence: int = 1) -> int | None:
-    """1-based line of the n-th ``"key":`` occurrence, if present."""
-    hits = list(re.finditer(rf'"{re.escape(key)}"\s*:', text))
-    if len(hits) < occurrence:
-        return None
-    return text.count("\n", 0, hits[occurrence - 1].start()) + 1
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _members(text: str, start: int) -> Iterator[tuple[str | int, int, int]]:
+    """(key or index, position, value position) of each member of the JSON
+    object or array that opens at ``text[start]``; an object member's
+    position is its key's.  ``text`` is valid JSON."""
+    close = {"{": "}", "[": "]"}.get(text[start])
+    if close is None:
+        return
+    i = _SPACE.match(text, start + 1).end()
+    index = 0
+    while text[i] != close:
+        if close == "}":
+            name, j = _DECODE(text, i)
+            value = _SPACE.match(text, _SPACE.match(text, j).end() + 1).end()
+            yield name, i, value
+        else:
+            value = i
+            yield index, i, value
+            index += 1
+        i = _SPACE.match(text, _DECODE(text, value)[1]).end()
+        if text[i] == ",":
+            i = _SPACE.match(text, i + 1).end()
+
+
+def _line_of(text: str, *where: str | int) -> int | None:
+    """1-based line of the member that ``where`` names, walking down from the
+    top-level value by object key (the last of a repeated key, the one
+    ``json.loads`` keeps) or array index; None if there is no such member."""
+    at = value = _SPACE.match(text).end()
+    for name in where:
+        found = None
+        for member, pos, inner in _members(text, value):
+            if member == name:
+                found = pos, inner
+        if found is None:
+            return None
+        at, value = found
+    return text.count("\n", 0, at) + 1
 
 
 def _fail(path: str, field: str, problem: str, line: int | None) -> None:
@@ -59,17 +94,19 @@ def _fail(path: str, field: str, problem: str, line: int | None) -> None:
 
 
 def _get_int(obj: Mapping[str, Any], field: str, path: str, text: str,
-             occurrence: int = 1, minimum: int | None = None) -> int:
+             where: tuple[str | int, ...] = (),
+             minimum: int | None = None) -> int:
+    """``obj[field]`` as an int; ``where`` locates ``obj`` in the file."""
     if field not in obj:
         _fail(path, field, "is missing", None)
     value = obj[field]
     # bool is an int subtype; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, field, f"must be an integer, got {value!r}",
-              _line_of(text, field, occurrence))
+              _line_of(text, *where, field))
     if minimum is not None and value < minimum:
         _fail(path, field, f"must be >= {minimum}, got {value}",
-              _line_of(text, field, occurrence))
+              _line_of(text, *where, field))
     return value
 
 
@@ -91,25 +128,24 @@ def _parse_flow(entry: Any, index: int, path: str, text: str) -> Flow:
     label = f"flows[{index}]"
     if not isinstance(entry, dict):
         _fail(path, label, "must be an object", None)
-    occurrence = index + 1
-    fid = _get_int(entry, "id", path, text, occurrence, minimum=0)
+    where = ("flows", index)
+    fid = _get_int(entry, "id", path, text, where, minimum=0)
     kwargs = dict(
         flow_id=fid,
-        period=_get_int(entry, "T", path, text, occurrence, minimum=1),
-        deadline=_get_int(entry, "D", path, text, occurrence, minimum=1),
-        length=_get_int(entry, "L", path, text, occurrence, minimum=1),
-        jitter=_get_int(entry, "J", path, text, occurrence, minimum=0),
-        src=_get_int(entry, "src", path, text, occurrence, minimum=0),
-        dst=_get_int(entry, "dst", path, text, occurrence, minimum=0),
+        period=_get_int(entry, "T", path, text, where, minimum=1),
+        deadline=_get_int(entry, "D", path, text, where, minimum=1),
+        length=_get_int(entry, "L", path, text, where, minimum=1),
+        jitter=_get_int(entry, "J", path, text, where, minimum=0),
+        src=_get_int(entry, "src", path, text, where, minimum=0),
+        dst=_get_int(entry, "dst", path, text, where, minimum=0),
     )
     if entry.get("maxloop") is not None:
-        kwargs["maxloop"] = _get_int(entry, "maxloop", path, text,
-                                     occurrence, minimum=0)
+        kwargs["maxloop"] = _get_int(entry, "maxloop", path, text, where,
+                                     minimum=0)
     try:
         return Flow(**kwargs)
     except ModelError as exc:
-        _fail(path, label, f"is invalid: {exc}",
-              _line_of(text, "id", occurrence))
+        _fail(path, label, f"is invalid: {exc}", _line_of(text, *where, "id"))
     raise AssertionError("unreachable")
 
 
@@ -121,7 +157,7 @@ def _parse_flows(raw: list, path: str, text: str) -> list[Flow]:
         flow = _parse_flow(entry, i, path, text)
         if flow.flow_id in flows:
             _fail(path, "id", f"repeats flow id {flow.flow_id}",
-                  _line_of(text, "id", i + 1))
+                  _line_of(text, "flows", i, "id"))
         flows[flow.flow_id] = flow
     return list(flows.values())
 

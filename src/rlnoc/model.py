@@ -205,17 +205,7 @@ def generate_rlrec(rows: int, cols: int) -> NetworkTopology:
     return NetworkTopology(rows=rows, cols=cols, rings=tuple(rings))
 
 
-@dataclass(frozen=True)
-class Flow:
-    """A periodic packet flow between two cores, as its input gives it.
-
-    Times are in cycles.  ``length`` is the packet size in flits, one flit
-    crossing one link per cycle.  ``maxloop`` is the deflection budget the
-    input fixes, or None to leave it to the Oldest-First count of
-    ejection-link competitors.  The flow's ring and its effective budget
-    are derived by the ``Flowset`` it joins, which never rewrites it.
-    """
-
+class _FlowFields(NamedTuple):
     flow_id: int
     period: int
     deadline: int
@@ -225,21 +215,43 @@ class Flow:
     dst: CoreId
     maxloop: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ModelError(f"flow {self.flow_id}: period must be >= 1")
-        if not 1 <= self.deadline <= self.period:
-            raise ModelError(
-                f"flow {self.flow_id}: deadline must be in [1, period]"
-            )
-        if self.length < 1:
-            raise ModelError(f"flow {self.flow_id}: length must be >= 1")
-        if self.jitter < 0:
-            raise ModelError(f"flow {self.flow_id}: jitter must be >= 0")
-        if self.src == self.dst:
-            raise ModelError(f"flow {self.flow_id}: src and dst must differ")
-        if self.maxloop is not None and self.maxloop < 0:
-            raise ModelError(f"flow {self.flow_id}: maxloop must be >= 0")
+
+class Flow(_FlowFields):
+    """A periodic packet flow between two cores, as its input gives it.
+
+    Times are in cycles.  ``length`` is the packet size in flits, one flit
+    crossing one link per cycle.  ``maxloop`` is the deflection budget the
+    input fixes, or None to leave it to the Oldest-First count of
+    ejection-link competitors.  The flow's ring and its effective budget
+    are derived by the ``Flowset`` it joins, which never rewrites it.
+
+    An immutable named tuple that checks its fields on every way of making
+    one: the constructor, ``_make`` and so ``_replace``, and unpickling.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, flow_id: int, period: int, deadline: int, length: int,
+                jitter: int, src: CoreId, dst: CoreId,
+                maxloop: int | None = None) -> "Flow":
+        if period < 1:
+            raise ModelError(f"flow {flow_id}: period must be >= 1")
+        if not 1 <= deadline <= period:
+            raise ModelError(f"flow {flow_id}: deadline must be in [1, period]")
+        if length < 1:
+            raise ModelError(f"flow {flow_id}: length must be >= 1")
+        if jitter < 0:
+            raise ModelError(f"flow {flow_id}: jitter must be >= 0")
+        if src == dst:
+            raise ModelError(f"flow {flow_id}: src and dst must differ")
+        if maxloop is not None and maxloop < 0:
+            raise ModelError(f"flow {flow_id}: maxloop must be >= 0")
+        return tuple.__new__(
+            cls, (flow_id, period, deadline, length, jitter, src, dst, maxloop))
+
+    @classmethod
+    def _make(cls, iterable) -> "Flow":  # type: ignore[override]
+        return cls(*iterable)
 
 
 class Flowset:
@@ -390,8 +402,7 @@ def no_load_latency(flowset: Flowset, flow_id: int) -> int:
     and the ejection link: len(path) + 1 link crossings.  The remaining
     length - 1 flits follow in consecutive cycles.
     """
-    flow = flowset.flow(flow_id)
-    return len(flowset.placement(flow_id).path) + 1 + flow.length - 1
+    return len(flowset._place[flow_id].path) + flowset._by_id[flow_id].length
 
 
 def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:

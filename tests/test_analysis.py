@@ -8,7 +8,6 @@ precompiled weight list) and finds the fixed point by linear scan.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -441,7 +440,7 @@ class TestAnalyze:
 def _renumbered(fs: Flowset, ids) -> Flowset:
     """``fs``'s flows in the same order under new ids, each keeping its budget."""
     return Flowset(fs.topology, [
-        dataclasses.replace(f, flow_id=i, maxloop=fs.maxloops[f.flow_id])
+        f._replace(flow_id=i, maxloop=fs.maxloops[f.flow_id])
         for f, i in zip(fs.flows, ids)
     ])
 
@@ -520,7 +519,7 @@ def _placements():
             rng = random.Random(f"0:mapping:{mapping_id}")
             cores = dict(zip(endpoints, rng.sample(range(grid * grid), len(endpoints))))
             yield Flowset(top, [
-                dataclasses.replace(f, src=cores[f.src], dst=cores[f.dst])
+                f._replace(src=cores[f.src], dst=cores[f.dst])
                 for f in traffic
             ])
 
@@ -566,6 +565,92 @@ class TestConfirmingPass:
         assert ("short periods", False) in seen
 
 
+class TestFloorScreen:
+    """``quick_verdict`` screens by floors computed from the source switches'
+    injection loads, then builds a row only for each flow that pass 1
+    visits, least floor slack first."""
+
+    @staticmethod
+    def _bases():
+        """Every fourth point of the seed-0 sweep, drawn as the sweep draws
+        its first flowset: 20-280 flows on 4x4 to 6x6."""
+        cfg = SweepConfig(seed="0")
+        tops = {g: generate_rlrec(g, g) for g in cfg.grids}
+        for grid, (lo, hi), n in itertools.islice(cfg.points(), 0, None, 4):
+            rng = random.Random(f"0:flowset:{grid}:{lo}-{hi}:{n}:0")
+            yield generate_flowset(cfg, tops[grid], n, (lo, hi), rng)
+
+    @staticmethod
+    def _decide(fs: Flowset, ref: Flowset, mode: ProtocolMode,
+                seen: set[tuple[ProtocolMode, str]]) -> bool:
+        """``quick_verdict(fs, mode)``, checked against oracles on ``ref``,
+        another copy of ``fs`` at the same budget; ``seen`` gets how it
+        decided."""
+        flows = ref.flows
+        floors = [_floor(ref, f.flow_id) for f in flows]
+        order = sorted(range(len(flows)),
+                       key=lambda p: flows[p].deadline - floors[p])
+        first = next(rlnoc.analysis._passes(ref, mode)).bounds
+        misses = [i for i, p in enumerate(order)
+                  if first[p] is None or first[p] > flows[p].deadline]
+        table = rlnoc.analysis._table(fs)
+        fresh = all(row is None for row in table.rows)
+        verdict = quick_verdict(fs, mode)
+        assert verdict == analyze(ref, mode).schedulable
+        built = {p for p, row in enumerate(table.rows) if row is not None}
+        if any(floor > f.deadline for floor, f in zip(floors, flows)):
+            assert not verdict and not built
+            how = "floor"
+        else:
+            # The least slack first, ties in flow order.
+            assert table.visits(fs) == order
+            if misses:
+                assert not verdict
+                if fresh:
+                    assert built == set(order[:misses[0] + 1])
+                how = "pass 1"
+            else:
+                assert built == set(range(len(flows)))
+                how = "accept" if verdict else "later pass"
+        seen.add((mode, how))
+        return verdict
+
+    def test_rows_only_for_visited_flows_along_the_budget_chain(self):
+        seen: set[tuple[ProtocolMode, str]] = set()
+        for base in self._bases():
+            # The calls _evaluate_point makes, in its order.
+            alive = {PROP: True, BASE: True}
+            for k in range(4):
+                if not any(alive.values()):
+                    break
+                fs, ref = base.with_maxloop(k), base.with_maxloop(k)
+                prop_ok = alive[PROP] and self._decide(fs, ref, PROP, seen)
+                if k == 0:
+                    base_ok = prop_ok
+                else:
+                    base_ok = (alive[BASE] and prop_ok
+                               and self._decide(fs, ref, BASE, seen))
+                alive = {PROP: prop_ok, BASE: base_ok}
+        assert seen >= {(PROP, "floor"), (PROP, "pass 1"), (PROP, "accept"),
+                        (BASE, "accept")}
+
+
+    def test_floor_is_the_oracle_floor_to_the_cycle(self):
+        # A deadline at the floor passes the screen, and that flow, with no
+        # slack, is visited first; one cycle less rejects it with no row.
+        base = next(self._bases())
+        for pos in range(0, len(base), 7):
+            floor = _floor(base.with_maxloop(2), base.flows[pos].flow_id)
+            for deadline, visited in ((floor, True), (floor - 1, False)):
+                flows = list(base.flows)
+                flows[pos] = flows[pos]._replace(deadline=deadline)
+                fs = Flowset(base.topology, flows).with_maxloop(2)
+                quick_verdict(fs, PROP)
+                rows = rlnoc.analysis._table(fs).rows
+                assert (rows[pos] is not None) == visited
+                assert any(row is not None for row in rows) == visited
+
+
 class TestSharedTable:
     """One table per flowset serves both modes and every entry point; no
     mode, call order or budget may see another's entries."""
@@ -573,7 +658,7 @@ class TestSharedTable:
     @staticmethod
     def _fresh(fs: Flowset) -> Flowset:
         return Flowset(fs.topology, [
-            dataclasses.replace(f, maxloop=fs.maxloops[f.flow_id]) for f in fs.flows
+            f._replace(maxloop=fs.maxloops[f.flow_id]) for f in fs.flows
         ])
 
     @staticmethod

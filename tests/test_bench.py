@@ -20,7 +20,7 @@ from rlnoc.bench import (
     improvement_report,
     schedulability_sweep,
 )
-from rlnoc.model import Flow, ModelError, generate_rlrec
+from rlnoc.model import Flow, ModelError, NetworkTopology, generate_rlrec
 
 TINY = SweepConfig(
     grids=(4,),
@@ -91,6 +91,78 @@ class TestGeneration:
         a = generate_flowset(cfg, top, 10, (16, 48), random.Random("s"))
         b = generate_flowset(cfg, top, 10, (16, 48), random.Random("s"))
         assert a.flows == b.flows
+
+
+def _randint_flowset(cfg, topology, n_flows, prange, rng):
+    """The flows ``generate_flowset`` must draw, drawn by ``randint`` and
+    ``randrange`` in the order it documents."""
+    flows = []
+    for i in range(n_flows):
+        period = rng.randint(*cfg.period_us) * cfg.cycles_per_us
+        jitter = rng.randint(int(period * cfg.jitter_fraction[0]),
+                             int(period * cfg.jitter_fraction[1]))
+        src = rng.randrange(topology.n_switches)
+        dst = rng.randrange(topology.n_switches - 1)
+        dst += dst >= src
+        flows.append(Flow(i, period, max(1, int(period * cfg.deadline_fraction)),
+                          rng.randint(*prange), jitter, src, dst))
+    return flows
+
+
+class TestSampler:
+    """``generate_flowset`` draws through one rejection sampler on
+    ``getrandbits``; it must take the bits ``randrange`` takes."""
+
+    SHIPPED = SweepConfig()
+    WIDTHS = sorted(
+        {1, 2, 3}
+        | {w for k in range(1, 12) for w in (2 ** k, 2 ** k + 1)}
+        | {hi - lo + 1 for lo, hi in (SHIPPED.period_us, *SHIPPED.packet_ranges)}
+        | {g * g - d for g in SHIPPED.grids for d in (0, 1)}
+    )
+
+    @pytest.mark.parametrize("seed", ["0", "7", "sampler", 12345])
+    def test_draws_and_state_match_randrange(self, seed):
+        mine, ref = random.Random(seed), random.Random(seed)
+        below = rlnoc.bench._sampler(mine)
+        for _ in range(5):
+            for n in self.WIDTHS:
+                assert below(n) == ref.randrange(n), n
+                assert mine.getstate() == ref.getstate()
+
+    def test_offset_draws_match_randint(self):
+        mine, ref = random.Random("int"), random.Random("int")
+        below = rlnoc.bench._sampler(mine)
+        for lo, hi in ((1, 100), (16, 48), (32, 96), (0, 0), (500, 50_000)):
+            for _ in range(50):
+                assert lo + below(hi - lo + 1) == ref.randint(lo, hi)
+                assert mine.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("cfg", [
+        SweepConfig(),
+        SweepConfig(period_us=(1, 1), jitter_fraction=(0.25, 0.75),
+                    deadline_fraction=0.5, cycles_per_us=333),
+    ])
+    def test_flowsets_match_randint_draws(self, cfg):
+        for grid in cfg.grids:
+            top = generate_rlrec(grid, grid)
+            for prange in cfg.packet_ranges:
+                name = f"{grid}:{prange}"
+                mine, ref = random.Random(name), random.Random(name)
+                fs = generate_flowset(cfg, top, 120, prange, mine)
+                assert list(fs.flows) == _randint_flowset(cfg, top, 120, prange, ref)
+                assert mine.getstate() == ref.getstate()
+
+    def test_empty_widths_rejected_not_looped(self):
+        # A width of 0 would never end the rejection loop.
+        cfg = SweepConfig()
+        with pytest.raises(ValueError, match="48-16 flits"):
+            generate_flowset(cfg, generate_rlrec(4, 4), 1, (48, 16),
+                             random.Random(0))
+        lone = NetworkTopology(rows=1, cols=1, rings=())
+        with pytest.raises(ValueError, match="between 1 cores"):
+            generate_flowset(cfg, lone, 1, (16, 48), random.Random(0))
+        assert len(generate_flowset(cfg, lone, 0, (16, 48), random.Random(0))) == 0
 
 
 @pytest.fixture(scope="module")

@@ -57,7 +57,7 @@ class TestGenCommands:
             SweepConfig(seed="s7"), generate_rlrec(4, 4), 6, (16, 48), rng
         )
         # The file fixes every budget the generator left to derivation.
-        assert [dataclasses.replace(f, maxloop=None) for f in loaded] == list(
+        assert [f._replace(maxloop=None) for f in loaded] == list(
             expected.flows
         )
         assert loaded.maxloops == expected.maxloops
@@ -362,6 +362,25 @@ class TestSweepCommand:
         assert f"config field {field!r}" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("grids", [4, 4]),
+        ("packet_ranges", [[16, 48], [32, 96], [16, 48]]),
+        ("maxloops", [1, 1]),
+    ])
+    def test_repeated_entry_exit_two(self, tmp_path, capsys, field, value):
+        # A repeat would count its flowsets twice in each row it shares.
+        doc = {"grids": [4], "flows_start": 20, "flows_end": 20,
+               "flowsets_per_point": 3, "packet_ranges": [[16, 48]],
+               "maxloops": [1]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(doc, **{field: value})))
+        rc = cli.main(["sweep", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config field {field!r} must not repeat an entry\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_job_count_below_one_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grids": [4], "flows_start": 4,
@@ -435,6 +454,32 @@ def test_repeated_flow_id_names_file_field_and_line(
         f"error: {bad}: field 'id' repeats flow id 0 (line 4)\n"
     )
     assert not [p for p in tmp_path.iterdir() if p.suffix == ".csv"]
+
+
+def test_field_line_is_found_in_its_own_flow(tmp_path, capsys):
+    # Flow 0 has no maxloop, so flow 1's is the file's first "maxloop".
+    bad = tmp_path / "ml.json"
+    bad.write_text(
+        '{"rows": 2, "cols": 2,\n"flows": [\n'
+        ' {"id": 0, "T": 100, "D": 100, "L": 2, "J": 0, "src": 0, "dst": 3},\n'
+        ' {"id": 1, "T": 100, "D": 100, "L": 2, "J": 0, "src": 1, "dst": 2,\n'
+        '  "maxloop": -1}\n]}\n')
+    rc = cli.main(["analyze", str(bad), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field 'maxloop' must be >= 0, got -1 (line 5)\n"
+    )
+
+
+def test_repeated_id_line_skips_keys_outside_the_flows(tmp_path, capsys):
+    bad = tmp_path / "meta.json"
+    bad.write_text('{"meta": {"id": 7},\n' + _DUPLICATE_FLOWS)
+    rc = cli.main(["improve", "--grid", "2", "--mappings", "1", "--traffic",
+                   str(bad), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: field 'id' repeats flow id 0 (line 4)\n"
+    )
 
 
 class TestOutDir:

@@ -6,7 +6,6 @@ headers other tooling greps for.
 """
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -59,7 +58,7 @@ class TestLoadFlowset:
 
         assert loaded.topology == original.topology
         # maxloop was derived on first finalization, then written concretely
-        assert [replace(f, maxloop=None) for f in loaded] == list(original.flows)
+        assert [f._replace(maxloop=None) for f in loaded] == list(original.flows)
         assert loaded.maxloops == original.maxloops
         for mode in ProtocolMode:
             a = analyze(original, mode)
@@ -113,6 +112,19 @@ class TestLoadFlowset:
         second_j = [i for i, ln in enumerate(lines, start=1) if '"J"' in ln][1]
         with pytest.raises(FileFormatError, match=rf"'J'.*line {second_j}"):
             load_flowset(path)
+
+    def test_field_line_is_the_key_json_keeps_in_its_own_flow(self, tmp_path):
+        # A nested "L" and the first of two "L" keys are not the value read.
+        path = tmp_path / "keys.json"
+        path.write_text(
+            '{"rows": 4, "cols": 4, "flows": [\n'
+            ' {"id": 0, "T": 100, "D": 100, "L": 2, "J": 0, "src": 0, "dst": 3},\n'
+            ' {"id": 1, "note": {"L": 0},\n'
+            '  "T": 100, "D": 100, "L": 2,\n'
+            '  "L": 0, "J": 0, "src": 1, "dst": 2}\n'
+            ']}\n')
+        with pytest.raises(FileFormatError, match=r"'L' must be >= 1, got 0 \(line 5\)"):
+            load_flowset(str(path))
 
     def test_semantic_error_names_flow(self, tmp_path):
         doc = _sample_doc()

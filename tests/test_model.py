@@ -5,8 +5,9 @@ brute-force helpers defined alongside the tests, then frozen here.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -230,6 +231,65 @@ class TestMaxloopOldestFirst:
         fs = Flowset(top, [make_flow(0, 4, 5), make_flow(1, 1, 5)])
         assert fs.maxloops[0] == 1
         assert fs.maxloops[1] == 1
+
+
+class TestFlow:
+    """``Flow`` is an immutable named tuple that checks its fields on every
+    way of making one."""
+
+    GOOD = Flow(3, 1000, 900, 8, 10, 1, 2, 1)
+    # One bad field each, with the message naming it.
+    BAD = [
+        ({"period": 0}, "flow 3: period must be >= 1"),
+        ({"deadline": 0}, r"flow 3: deadline must be in \[1, period\]"),
+        ({"deadline": 1001}, r"flow 3: deadline must be in \[1, period\]"),
+        ({"length": 0}, "flow 3: length must be >= 1"),
+        ({"jitter": -1}, "flow 3: jitter must be >= 0"),
+        ({"dst": 1}, "flow 3: src and dst must differ"),
+        ({"maxloop": -1}, "flow 3: maxloop must be >= 0"),
+    ]
+
+    def test_fields_and_default(self):
+        assert Flow._fields == ("flow_id", "period", "deadline", "length",
+                                "jitter", "src", "dst", "maxloop")
+        assert Flow(0, 10, 10, 1, 0, 0, 1).maxloop is None
+        assert isinstance(self.GOOD, tuple)
+
+    @pytest.mark.parametrize("path", ["new", "keywords", "_replace", "_make",
+                                      "pickle", "copy"])
+    @pytest.mark.parametrize("change,message", BAD)
+    def test_every_construction_path_validates(self, path, change, message):
+        values = self.GOOD._asdict()
+        values.update(change)
+        # A tuple laid out as a Flow without passing its checks.
+        unchecked = tuple.__new__(Flow, values.values())
+        build = {
+            "new": lambda: Flow(*values.values()),
+            "keywords": lambda: Flow(**values),
+            "_replace": lambda: self.GOOD._replace(**change),
+            "_make": lambda: Flow._make(values.values()),
+            "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+            "copy": lambda: copy.copy(unchecked),
+        }[path]
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            build()
+
+    def test_valid_round_trips(self):
+        f = self.GOOD
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert type(pickle.loads(pickle.dumps(f))) is Flow
+        assert Flow._make(f) == f
+        assert type(f._replace(maxloop=None)) is Flow
+
+    def test_immutable_and_hashable(self):
+        f = self.GOOD
+        with pytest.raises(AttributeError):
+            f.period = 5  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            f.extra = 5  # type: ignore[attr-defined]
+        twin = Flow(3, 1000, 900, 8, 10, 1, 2, 1)
+        assert twin == f and twin is not f and hash(twin) == hash(f)
+        assert len({f, twin, f._replace(maxloop=2)}) == 2
 
 
 class TestFlowsetBuild:
@@ -463,7 +523,7 @@ class TestFlowsetIndex:
         top, flows = case
         fs = Flowset(top, flows)
         copy = fs.with_maxloop(k)
-        fresh = Flowset(top, [replace(f, maxloop=k) for f in fs.flows])
+        fresh = Flowset(top, [f._replace(maxloop=k) for f in fs.flows])
         assert copy.flows is fs.flows
         assert copy.maxloops == fresh.maxloops
         assert copy.ring_buffers == fresh.ring_buffers
