@@ -16,7 +16,7 @@ import time
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .model import Flowset, no_load_latency
 
@@ -25,8 +25,6 @@ HARD_CAP = 1 << 20
 # Outer-iteration safety stop; termination is guaranteed well before this
 # because finite bounds are capped and the diverged set only grows.
 MAX_PASSES = 4096
-
-JitterMap = Mapping[int, "int | None"]
 
 # (interferer position, weight, period, release jitter + period - 1): the
 # interferer holds the flow's injection switch for ``weight`` cycles per
@@ -308,9 +306,7 @@ def _same_climb(
     return True
 
 
-def _queue(
-    row: _Row, idle: Sequence[int | None] | Mapping[int, int | None]
-) -> int | None:
+def _queue(row: _Row, idle: list[int | None]) -> int | None:
     """Wait behind injection-link sharers: their packets plus their idle waits.
 
     ``idle`` holds the sharers' idle waits by position.
@@ -327,42 +323,6 @@ def _queue(
 def _bound(fixed: int, idle: int | None, queue: int | None) -> int | None:
     """The bound: the interference-free part plus the idle and queue waits."""
     return None if idle is None or queue is None else fixed + idle + queue
-
-
-def divergence_cap(flowset: Flowset, flow_id: int) -> int:
-    """Busy-period size beyond which iteration gives up (``_Table.windows``)."""
-    table = _table(flowset)
-    return table.windows(flowset, table.at[flow_id]).full[1]  # both hold it
-
-
-def pre_injection_idle(
-    flowset: Flowset,
-    flow_id: int,
-    mode: ProtocolMode,
-    interference_jitter: JitterMap | None = None,
-) -> int | None:
-    """Worst-case wait at the head of the injection queue, or None if diverged."""
-    table = _table(flowset)
-    jmap = interference_jitter or {}
-    jitter = [jmap.get(f.flow_id, 0) for f in flowset.flows]
-    windows = table.windows(flowset, table.at[flow_id])
-    return _idle(table.modes[mode].pick(windows), jitter)[0]
-
-
-def pre_injection_queue(
-    flowset: Flowset, flow_id: int, idle_map: Mapping[int, int | None]
-) -> int | None:
-    """Wait behind injection-link sharers: their packets plus their idle waits."""
-    table = _table(flowset)
-    row = table.row(flowset, table.at[flow_id])
-    flows = flowset.flows
-    return _queue(row, {p: idle_map[flows[p].flow_id] for p in row.sharers})
-
-
-def post_injection(flowset: Flowset, flow_id: int) -> int:
-    """Worst-case buffering after injection, plus the flow's own loops."""
-    table = _table(flowset)
-    return table.row(flowset, table.at[flow_id]).post
 
 
 class _Pass(NamedTuple):
@@ -431,29 +391,6 @@ def _passes(flowset: Flowset, mode: ProtocolMode) -> Iterator[_Pass]:
         ]
 
 
-def _results(flowset: Flowset, state: _Pass) -> tuple[FlowAnalysis, ...]:
-    """Every flow's result as the pass ``state`` left it, in flow order."""
-    return tuple(
-        FlowAnalysis(f.flow_id, row.no_load, wait, queue, row.post, bound,
-                     f.deadline, bound is not None and bound <= f.deadline,
-                     bound is not None, steps)
-        for f, row, wait, queue, bound, steps in zip(
-            flowset.flows, _table(flowset).rows, state.idle, state.queue,
-            state.bounds, state.steps)
-    )
-
-
-def response_time(flowset: Flowset, flow_id: int, mode: ProtocolMode) -> FlowAnalysis:
-    """Single-pass bound for one flow, every interferer's jitter taken as zero.
-
-    This is the first outer pass of ``analyze``: sharers' idle waits are
-    computed against the same jitter snapshot, so the result is independent
-    of evaluation order.
-    """
-    first = _results(flowset, next(_passes(flowset, mode)))
-    return first[_table(flowset).at[flow_id]]
-
-
 def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     """Whole-set bounds with interference jitter resolved by fixed point.
 
@@ -465,11 +402,15 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     passes = 0
     for last in _passes(flowset, mode):
         passes += 1
-    flows = _results(flowset, last)
-    if not last.converged:
-        flows = tuple(
-            fa._replace(schedulable=False, converged=False) for fa in flows
-        )
+    final = last.converged
+    flows = tuple(
+        FlowAnalysis(f.flow_id, row.no_load, wait, queue, row.post, bound,
+                     f.deadline, final and bound is not None and bound <= f.deadline,
+                     final and bound is not None, steps)
+        for f, row, wait, queue, bound, steps in zip(
+            flowset.flows, _table(flowset).rows, last.idle, last.queue,
+            last.bounds, last.steps)
+    )
     return AnalysisReport(
         mode=mode,
         flows=flows,
@@ -477,6 +418,41 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
         passes=passes,
         wall_time=time.perf_counter() - start,
     )
+
+
+def terms(
+    flowset: Flowset, mode: ProtocolMode
+) -> list[tuple[int, str, int | None, int]]:
+    """Every flow's bound at ``analyze``'s last pass, split into parts.
+
+    Rows are (flow id, term, other flow id or None, cycles), in flow order,
+    and a flow's rows sum to its bound exactly: ``no_load``; ``loops``, the
+    ring crossings of its own deflections; ``post``, post-injection
+    buffering; ``idle``, the constant 1 (no other flow) and each
+    interferer's share of the idle wait, its weight times its ceiling at
+    the wait; ``queue``, each injection sharer's length plus its idle wait.
+    A flow without a bound has no rows.  If ``MAX_PASSES`` runs out, the
+    parts sum to the unconverged bound that ``analyze`` reports.
+    """
+    for last in _passes(flowset, mode):
+        pass
+    table = _table(flowset)
+    flows, jitter, idle = flowset.flows, last.jitter, last.idle
+    rows: list[tuple[int, str, int | None, int]] = []
+    for f, row, both, wait, bound in zip(flows, table.rows, table.both, idle,
+                                         last.bounds):
+        if bound is None:
+            continue
+        fid = f.flow_id
+        rows += [(fid, "no_load", None, row.no_load),
+                 (fid, "loops", None, row.fixed - row.no_load - row.post),
+                 (fid, "post", None, row.post), (fid, "idle", None, 1)]
+        rows += [(fid, "idle", flows[p].flow_id,
+                  weight * ((wait + offset + jitter[p]) // period))
+                 for p, weight, period, offset in table.modes[mode].pick(both)[0]]
+        rows += [(fid, "queue", flows[p].flow_id, flows[p].length + idle[p])
+                 for p in row.sharers]
+    return rows
 
 
 def quick_verdict(flowset: Flowset, mode: ProtocolMode) -> bool:

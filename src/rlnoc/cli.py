@@ -14,7 +14,7 @@ import os
 import random
 import sys
 
-from .analysis import ProtocolMode, analyze
+from .analysis import ProtocolMode, analyze, terms
 from .bench import (
     SweepConfig,
     generate_flowset,
@@ -32,6 +32,7 @@ from .files import (
     write_report_csv,
     write_run_meta,
     write_sweep_csv,
+    write_terms_csv,
     write_trace_csv,
     write_trace_summary_csv,
 )
@@ -71,14 +72,18 @@ def _packet_range(arg: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _count(arg: str) -> int:
+def _count(arg: str, least: int = 1) -> int:
     try:
         value = int(arg)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {arg!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _budget(arg: str) -> int:
+    return _count(arg, 0)
 
 
 def _out_dir(args: argparse.Namespace) -> str:
@@ -124,6 +129,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     reports = [analyze(fs, mode) for mode in _modes(args.mode)]
     path = os.path.join(out, "report.csv")
     write_report_csv(path, reports)
+    write_terms_csv(os.path.join(out, "terms.csv"),
+                    [(r.mode, terms(fs, r.mode)) for r in reports])
     for report in reports:
         for fa in report.flows:
             if fa.bound is None:
@@ -142,7 +149,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             f"{'schedulable' if report.schedulable else 'unschedulable'} "
             f"({report.passes} passes)"
         )
-    print(f"wrote {path}")
+    print(f"wrote {path} and terms.csv")
     return 0
 
 
@@ -243,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--flows", type=_count, required=True)
     p.add_argument("--packet-range", type=_packet_range, default=(16, 48))
-    p.add_argument("--maxloop", type=int, default=None)
+    p.add_argument("--maxloop", type=_budget, default=None)
     p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_flowset)
@@ -299,7 +306,3 @@ def main(argv: list[str] | None = None) -> int:
     except SimInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

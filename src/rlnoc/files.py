@@ -16,7 +16,7 @@ import re
 from importlib import resources
 from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
 
-from .analysis import AnalysisReport
+from .analysis import AnalysisReport, ProtocolMode
 from .bench import SweepConfig
 from .model import Flow, Flowset, ModelError, NetworkTopology, Ring, generate_rlrec
 from .sim import SimTrace
@@ -39,6 +39,7 @@ SWEEP_COLUMNS = (
 )
 IMPROVEMENT_COLUMNS = ("mapping_id", "flow_id", "R_base", "R_prop",
                        "improvement_pct")
+TERMS_COLUMNS = ("flow_id", "mode", "term", "from_flow", "cycles")
 
 
 class FileFormatError(ValueError):
@@ -166,21 +167,23 @@ def _parse_topology(doc: Mapping[str, Any], path: str,
                     text: str) -> NetworkTopology:
     rows = _get_int(doc, "rows", path, text, minimum=2)
     cols = _get_int(doc, "cols", path, text, minimum=2)
-    if "rings" not in doc or doc["rings"] is None:
-        return generate_rlrec(rows, cols)
-    raw = doc["rings"]
+    raw = doc.get("rings")
     # A switch id is an int; bool, an int subtype, is not one.
-    if not isinstance(raw, list) or not all(
-            isinstance(r, list) and all(type(s) is int for s in r) for r in raw):
+    if raw is not None and (not isinstance(raw, list) or not all(
+            isinstance(r, list) and all(type(s) is int for s in r) for r in raw)):
         _fail(path, "rings", "must be a list of integer switch-id lists",
               _line_of(text, "rings"))
     try:
+        if raw is None:
+            return generate_rlrec(rows, cols)
         rings = tuple(
             Ring(ring_id=i, switches=tuple(sw)) for i, sw in enumerate(raw)
         )
         return NetworkTopology(rows=rows, cols=cols, rings=rings)
     except ModelError as exc:
-        _fail(path, "rings", f"is invalid: {exc}", _line_of(text, "rings"))
+        # Without rings, the generator rejects the grid's shape.
+        field = "cols" if raw is None else "rings"
+        _fail(path, field, f"is invalid: {exc}", _line_of(text, field))
     raise AssertionError("unreachable")
 
 
@@ -273,6 +276,14 @@ def write_report_csv(target: str | IO[str],
                 _BOOL[fa.schedulable], fa.iterations, _BOOL[fa.converged],
             ))
     _write_csv(target, REPORT_COLUMNS, rows)
+
+
+def write_terms_csv(target: str | IO[str],
+                    parts: Iterable[tuple[ProtocolMode, list[tuple]]]) -> None:
+    """Each mode's ``analysis.terms`` rows, one mode after another."""
+    rows = [(fid, mode.value, term, other, cycles)
+            for mode, part in parts for fid, term, other, cycles in part]
+    _write_csv(target, TERMS_COLUMNS, rows)
 
 
 def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:

@@ -7,15 +7,7 @@ seeded, so every run checks the same instances.
 import random
 import time
 
-from rlnoc.analysis import (
-    ProtocolMode,
-    analyze,
-    divergence_cap,
-    post_injection,
-    pre_injection_idle,
-    pre_injection_queue,
-    response_time,
-)
+from rlnoc.analysis import ProtocolMode, _passes, _table, analyze, terms
 from rlnoc.bench import SweepConfig, generate_flowset, improvement_report, schedulability_sweep
 from rlnoc.files import load_traffic, sample_traffic_path
 from rlnoc.model import Flow, Flowset, ModelError, generate_rlrec
@@ -104,41 +96,52 @@ def _scan_fixed_point(fs, fid, mode):
             total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
         return total
 
-    for value in range(1, divergence_cap(fs, fid) + 1):
+    table = _table(fs)
+    cap = table.windows(fs, table.at[fid]).full[1]  # both protocols hold it
+    for value in range(1, cap + 1):
         if rhs(value) == value:
             return value
     return None
 
 
-def test_3_hand_oracles_and_exhaustive_scan():
-    # Worked single-switch cases, frozen by hand on the 8-switch ring.
-    solo = single_flow_ring8()
-    assert pre_injection_idle(solo, 0, BASE) == 1
-    assert pre_injection_idle(solo, 0, PROP) == 1
+def _flow_terms(fs, mode, fid=0):
+    """term -> cycles of one flow's bound (``terms``), interferers summed."""
+    parts = {}
+    for f, term, _, cycles in terms(fs, mode):
+        if f == fid:
+            parts[term] = parts.get(term, 0) + cycles
+    return parts
 
+
+def test_3_hand_oracles_and_exhaustive_scan():
+    # Worked single-switch cases, frozen by hand on the 8-switch ring, read
+    # at the fixed point and in pass 1 (every interference jitter 0).
+    solo = single_flow_ring8()
     uplink = Flowset(perimeter_ring8(), [
         make_flow(0, 1, 7, length=8),
         make_flow(1, 0, 2, length=4, maxloop=0),
     ])
-    assert pre_injection_idle(uplink, 0, BASE) == 5
-    assert pre_injection_idle(uplink, 0, PROP) == 5
-
     deflecting = Flowset(perimeter_ring8(), [
         make_flow(0, 1, 7, length=8),
         make_flow(1, 2, 3, length=8, maxloop=1),
     ])
-    assert pre_injection_idle(deflecting, 0, BASE) == 9
-    assert pre_injection_idle(deflecting, 0, PROP) == 2
-
-    assert post_injection(solo, 0) == 24
     looped = single_flow_ring8(maxloop=1)
-    assert post_injection(looped, 0) == 88
+    for fs, mode, idle in ((solo, BASE, 1), (solo, PROP, 1),
+                           (uplink, BASE, 5), (uplink, PROP, 5),
+                           (deflecting, BASE, 9), (deflecting, PROP, 2)):
+        assert _flow_terms(fs, mode)["idle"] == idle
+        assert next(_passes(fs, mode)).idle[0] == idle
 
-    assert response_time(solo, 0, BASE).bound == 37
-    assert response_time(looped, 0, BASE).bound == 109
+    for fs, post, bound in ((solo, 24, 37), (looped, 88, 109)):
+        parts = _flow_terms(fs, BASE)
+        assert parts["post"] == post
+        assert sum(parts.values()) == bound
+        assert analyze(fs, BASE).flows[0].bound == bound
+        assert next(_passes(fs, BASE)).bounds[0] == bound
 
-    # Queue composition on the same fixtures.
-    assert pre_injection_queue(solo, 0, {}) == 0
+    # Queue composition on the same fixtures: no injection sharer.
+    assert "queue" not in _flow_terms(solo, BASE)
+    assert next(_passes(solo, BASE)).queue[0] == 0
 
     # Iterated fixed point vs. trying every candidate, tiny instances.
     scanned = 0
@@ -160,10 +163,11 @@ def test_3_hand_oracles_and_exhaustive_scan():
             fs = Flowset(top, flows)
         except ModelError:
             continue
-        for f in fs:
-            for mode in (BASE, PROP):
-                assert pre_injection_idle(fs, f.flow_id, mode) == \
-                    _scan_fixed_point(fs, f.flow_id, mode), (seed, f.flow_id)
+        for mode in (BASE, PROP):
+            first = next(_passes(fs, mode)).idle
+            for f, idle in zip(fs, first):
+                assert idle == _scan_fixed_point(fs, f.flow_id, mode), (
+                    seed, f.flow_id)
                 scanned += 1
     assert scanned >= 200
     _ok(3, f"hand values exact; iteration == scan on {scanned} flow/mode cases")

@@ -1,10 +1,13 @@
 """Latency-bound analysis: frozen hand-checked values and cross-checks.
 
 The fixed expected numbers below were computed by hand from the interference
-terms before the module existed, then frozen.  The brute-force `_scan_idle`
-oracle re-transcribes the busy-period equation independently (summing over
-ring peers with a per-peer deflection charge, instead of the implementation's
-precompiled weight list) and finds the fixed point by linear scan.
+terms before the module existed, then frozen; they are read from ``terms``,
+which splits each bound into its parts.  Pass-1 values come from the first
+state of ``_passes``, and waits under an explicit jitter or idle map from
+``_idle`` and ``_queue``.  The brute-force `_scan_idle` oracle re-transcribes
+the busy-period equation independently (summing over ring peers with a
+per-peer deflection charge, instead of the implementation's precompiled
+weight list) and finds the fixed point by linear scan.
 """
 from __future__ import annotations
 
@@ -19,13 +22,13 @@ from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_rin
 from rlnoc.analysis import (
     AnalysisReport,
     ProtocolMode,
+    _idle,
+    _passes,
+    _queue,
+    _table,
     analyze,
-    divergence_cap,
-    post_injection,
-    pre_injection_idle,
-    pre_injection_queue,
     quick_verdict,
-    response_time,
+    terms,
 )
 from rlnoc.bench import SweepConfig, generate_flowset
 from rlnoc.files import load_traffic, sample_traffic_path
@@ -37,6 +40,37 @@ PROP = ProtocolMode.PROPOSED
 
 def _ceil(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _window(fs, fid, mode):
+    """The idle-bound terms and divergence cap of ``fid`` under ``mode``."""
+    table = _table(fs)
+    return table.modes[mode].pick(table.windows(fs, table.at[fid]))
+
+
+def _idle_wait(fs, fid, mode, jmap=None):
+    """The idle wait of ``fid`` under the interference jitter ``jmap`` (flow
+    id -> jitter, 0 where missing), or None if it diverges."""
+    jmap = jmap or {}
+    return _idle(_window(fs, fid, mode), [jmap.get(f.flow_id, 0) for f in fs])[0]
+
+
+def _first_idle(fs, mode):
+    """Pass 1's idle waits (every interference jitter 0), by flow id."""
+    return dict(zip((f.flow_id for f in fs), next(_passes(fs, mode)).idle))
+
+
+def _parts(fs, mode):
+    """Flow id -> {(term, other flow id or None): cycles}, from ``terms``."""
+    parts = {}
+    for fid, term, other, cycles in terms(fs, mode):
+        parts.setdefault(fid, {})[term, other] = cycles
+    return parts
+
+
+def _of(parts, term):
+    """One flow's ``term`` rows: other flow id or None -> cycles."""
+    return {other: c for (t, other), c in parts.items() if t == term}
 
 
 def _scan_idle(fs, fid, mode, jmap=None):
@@ -56,7 +90,7 @@ def _scan_idle(fs, fid, mode, jmap=None):
             total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
         return total
 
-    cap = divergence_cap(fs, fid)
+    cap = _window(fs, fid, mode)[1]
     for value in range(1, cap + 1):
         if rhs(value) == value:
             return value
@@ -87,34 +121,33 @@ def _deflecting_pair() -> Flowset:
 class TestPreInjectionIdle:
     def test_no_interferers(self):
         fs = single_flow_ring8()
-        assert pre_injection_idle(fs, 0, BASE) == 1
-        assert pre_injection_idle(fs, 0, PROP) == 1
+        assert _of(_parts(fs, BASE)[0], "idle") == {None: 1}
+        assert _of(_parts(fs, PROP)[0], "idle") == {None: 1}
 
     def test_single_upstream_interferer(self):
         fs = _uplink_pair()
         # 1 + ceil(5/1000) * 4 = 5 at the fixed point, both modes.
-        assert pre_injection_idle(fs, 0, BASE) == 5
-        assert pre_injection_idle(fs, 0, PROP) == 5
+        assert _of(_parts(fs, BASE)[0], "idle") == {None: 1, 1: 4}
+        assert _of(_parts(fs, PROP)[0], "idle") == {None: 1, 1: 4}
 
     def test_deflecting_interferer_split_by_mode(self):
         fs = _deflecting_pair()
         # One deflection charge: the full 8-flit packet vs its 1-flit header.
-        assert pre_injection_idle(fs, 0, BASE) == 9
-        assert pre_injection_idle(fs, 0, PROP) == 2
+        assert _of(_parts(fs, BASE)[0], "idle") == {None: 1, 1: 8}
+        assert _of(_parts(fs, PROP)[0], "idle") == {None: 1, 1: 1}
 
     def test_matches_scan_oracle_on_fixed_pairs(self):
         for fs in (_uplink_pair(), _deflecting_pair()):
             for mode in (BASE, PROP):
+                first = _first_idle(fs, mode)
                 for f in fs:
-                    assert pre_injection_idle(fs, f.flow_id, mode) == _scan_idle(
-                        fs, f.flow_id, mode
-                    )
+                    assert first[f.flow_id] == _scan_idle(fs, f.flow_id, mode)
 
     def test_interference_jitter_widens_the_window(self):
         fs = _uplink_pair()
         # Pushing flow 1's interference jitter past its period doubles the
         # number of packet arrivals inside the busy window.
-        assert pre_injection_idle(fs, 0, BASE, {1: 996}) == 9
+        assert _idle_wait(fs, 0, BASE, {1: 996}) == 9
 
     def test_divergence_returns_none(self):
         top = perimeter_ring8()
@@ -123,24 +156,28 @@ class TestPreInjectionIdle:
             make_flow(1, 0, 2, length=8, period=4, deadline=4, maxloop=0),
         ]
         fs = Flowset(top, flows)
-        assert pre_injection_idle(fs, 0, BASE) is None
+        assert _first_idle(fs, BASE)[0] is None
+        assert 0 not in _parts(fs, BASE)
 
     def test_none_jitter_propagates(self):
         fs = _uplink_pair()
-        assert pre_injection_idle(fs, 0, BASE, {1: None}) is None
+        assert _idle_wait(fs, 0, BASE, {1: None}) is None
 
 
 class TestPreInjectionQueue:
     def test_no_sharers(self):
         fs = single_flow_ring8()
-        assert pre_injection_queue(fs, 0, {}) == 0
+        assert _of(_parts(fs, BASE)[0], "queue") == {}
+        assert analyze(fs, BASE).flows[0].pre_queue == 0
 
     def test_one_sharer(self):
         top = multi_ring_2x4()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 1, 5, length=8)])
         assert fs.placement(1).ring == 2
-        assert pre_injection_idle(fs, 1, BASE) == 1
-        assert pre_injection_queue(fs, 0, {1: 1}) == 9
+        parts = _parts(fs, BASE)
+        assert _of(parts[1], "idle") == {None: 1}
+        # Flow 1's 8 flits plus its idle wait of 1.
+        assert _of(parts[0], "queue") == {1: 9}
 
     def test_two_sharers(self):
         top = multi_ring_2x4()
@@ -152,37 +189,41 @@ class TestPreInjectionQueue:
         ]
         fs = Flowset(top, flows)
         assert fs.placement(2).ring == 1 and fs.placement(3).ring == 1
-        idle = {j: pre_injection_idle(fs, j, BASE) for j in (1, 2)}
-        assert idle == {1: 1, 2: 5}
-        assert pre_injection_queue(fs, 0, idle) == 18
+        first = _first_idle(fs, BASE)
+        assert (first[1], first[2]) == (1, 5)
+        parts = _parts(fs, BASE)
+        assert sum(_of(parts[1], "idle").values()) == 1
+        assert sum(_of(parts[2], "idle").values()) == 5
+        assert _of(parts[0], "queue") == {1: 8 + 1, 2: 4 + 5}
+        assert sum(_of(parts[0], "queue").values()) == 18
 
     def test_none_idle_propagates(self):
         top = multi_ring_2x4()
         fs = Flowset(top, [make_flow(0, 1, 7, length=8), make_flow(1, 1, 5, length=8)])
-        assert pre_injection_queue(fs, 0, {1: None}) is None
+        assert _queue(_table(fs).row(fs, 0), [1, None]) is None
 
 
 class TestPostInjection:
     def test_buffer_term_only(self):
         fs = single_flow_ring8(length=8, maxloop=0)
         # 3 downstream switches, 8-flit buffers.
-        assert post_injection(fs, 0) == 24
+        assert _parts(fs, BASE)[0]["post", None] == 24
 
     def test_deflection_term(self):
         fs = single_flow_ring8(length=8, maxloop=1)
         # 24 + one loop around the 8-link ring at 8 flits per buffer.
-        assert post_injection(fs, 0) == 88
+        assert _parts(fs, BASE)[0]["post", None] == 88
 
     def test_minimal_case(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 2, length=1, maxloop=0)])
-        assert post_injection(fs, 0) == 1
+        assert _parts(fs, BASE)[0]["post", None] == 1
 
 
 class TestResponseTime:
     def test_isolated_flow(self):
         fs = single_flow_ring8(length=8, maxloop=0)
-        fa = response_time(fs, 0, BASE)
+        fa = analyze(fs, BASE).flows[0]
         assert fa.no_load == 12
         assert fa.pre_idle == 1
         assert fa.pre_queue == 0
@@ -192,32 +233,44 @@ class TestResponseTime:
 
     def test_isolated_flow_with_one_loop(self):
         fs = single_flow_ring8(length=8, maxloop=1)
-        fa = response_time(fs, 0, BASE)
+        fa = analyze(fs, BASE).flows[0]
         assert fa.bound == 12 + 8 + 1 + 88
         assert fa.bound == 109
+        assert _parts(fs, BASE)[0] == {
+            ("no_load", None): 12, ("loops", None): 8, ("post", None): 88,
+            ("idle", None): 1,
+        }
 
     def test_bound_identity_and_floor(self):
         fs = _deflecting_pair()
         for mode in (BASE, PROP):
-            for f in fs:
-                fa = response_time(fs, f.flow_id, mode)
-                ring = fs.topology.rings[fs.placement(f.flow_id).ring]
+            parts = _parts(fs, mode)
+            for fa in analyze(fs, mode).flows:
+                ring = fs.topology.rings[fs.placement(fa.flow_id).ring]
+                loops = len(ring) * fs.maxloops[fa.flow_id]
                 assert fa.bound == (
                     fa.no_load
-                    + len(ring) * fs.maxloops[f.flow_id]
+                    + loops
                     + fa.pre_idle
                     + fa.pre_queue
                     + fa.post_injection
                 )
                 assert fa.bound >= fa.no_load
+                own = parts[fa.flow_id]
+                assert own["loops", None] == loops
+                assert sum(own.values()) == fa.bound
 
     def test_deflection_makes_proposed_strictly_cheaper(self):
         fs = _deflecting_pair()
-        base = response_time(fs, 0, BASE)
-        prop = response_time(fs, 0, PROP)
+        base = analyze(fs, BASE).flows[0]
+        prop = analyze(fs, PROP).flows[0]
         assert base.bound == 12 + 0 + 9 + 0 + 24
         assert prop.bound == 12 + 0 + 2 + 0 + 24
         assert prop.bound < base.bound
+        # The whole gap is flow 1's idle share: 8 flits against 1 header.
+        gap = {key: c - _parts(fs, PROP)[0][key]
+               for key, c in _parts(fs, BASE)[0].items()}
+        assert {key: c for key, c in gap.items() if c} == {("idle", 1): 7}
 
     def test_divergence_marks_flow_unschedulable(self):
         top = perimeter_ring8()
@@ -226,7 +279,7 @@ class TestResponseTime:
             make_flow(1, 0, 2, length=8, period=4, deadline=4, maxloop=0),
         ]
         fs = Flowset(top, flows)
-        fa = response_time(fs, 0, BASE)
+        fa = analyze(fs, BASE).flows[0]
         assert fa.bound is None
         assert not fa.converged and not fa.schedulable
 
@@ -276,12 +329,15 @@ def _sweep_sized_draws():
 
 def _floor(fs: Flowset, fid: int) -> int:
     """The bound with every idle wait at its least value, 1.  The injection
-    sharers are found by a scan of every flow's source core."""
-    ring = fs.topology.rings[fs.placement(fid).ring]
-    own = no_load_latency(fs, fid) + len(ring) * fs.maxloops[fid]
+    sharers are found by a scan of every flow's source core, and the
+    post-injection term is a full buffer drain per hop and per lap."""
+    ring_id, _, _, path = fs.placement(fid)
+    lap = len(fs.topology.rings[ring_id])
+    own = no_load_latency(fs, fid) + lap * fs.maxloops[fid]
+    post = (len(path) - 1 + lap * fs.maxloops[fid]) * fs.ring_buffers[ring_id]
     src = fs.flow(fid).src
     sharers = [g.flow_id for g in fs if g.src == src and g.flow_id != fid]
-    return (own + post_injection(fs, fid) + 1
+    return (own + post + 1
             + sum(fs.flow(g).length + 1 for g in sharers))
 
 
@@ -318,9 +374,8 @@ class TestAnalyze:
     def test_interference_jitter_feedback_raises_bounds(self):
         fs = _deflecting_pair()
         report = analyze(fs, BASE)
-        first_pass = {
-            fa.flow_id: response_time(fs, fa.flow_id, BASE).bound for fa in report.flows
-        }
+        first_pass = dict(zip((f.flow_id for f in fs),
+                              next(_passes(fs, BASE)).bounds))
         for fa in report.flows:
             assert fa.bound >= first_pass[fa.flow_id]
 
@@ -482,30 +537,30 @@ class TestPositionIsNotId:
                     verdicts.add(verdict)
         assert verdicts == {True, False}
 
-    def test_single_flow_entry_points(self):
+    def test_terms_windows_and_first_pass(self):
         rng = random.Random("ids-one")
         for _ in range(10):
             fs = _random_flowset(rng, n_flows=rng.randint(2, 10))
             dense = _renumbered(fs, range(len(fs)))
             for ids in self._id_sets(rng, len(fs)):
                 moved = _renumbered(fs, ids)
-                idle = {i: pre_injection_idle(moved, i, PROP) for i in ids}
                 jitter = {i: rng.randint(0, 500) for i in ids}
                 by_pos = {p: jitter[i] for p, i in enumerate(ids)}
                 for pos, i in enumerate(ids):
-                    assert (pre_injection_idle(moved, i, BASE, jitter)
-                            == pre_injection_idle(dense, pos, BASE, by_pos))
-                    assert divergence_cap(moved, i) == divergence_cap(dense, pos)
-                    assert post_injection(moved, i) == post_injection(dense, pos)
-                    assert idle[i] == pre_injection_idle(dense, pos, PROP)
-                    assert pre_injection_queue(moved, i, idle) == pre_injection_queue(
-                        dense, pos, {p: idle[ids[p]] for p in range(len(ids))}
-                    )
+                    assert (_idle_wait(moved, i, BASE, jitter)
+                            == _idle_wait(dense, pos, BASE, by_pos))
                     for mode in (BASE, PROP):
-                        got = response_time(moved, i, mode)
-                        want = response_time(dense, pos, mode)
-                        assert got.flow_id == i
-                        assert got == want._replace(flow_id=i)
+                        assert _window(moved, i, mode) == _window(dense, pos, mode)
+                for mode in (BASE, PROP):
+                    # Pass 1 (idle, queue and bound of every flow) by position.
+                    assert next(_passes(moved, mode)) == next(_passes(dense, mode))
+                    # No-load, post-injection and sharers of every flow.
+                    assert _table(moved).rows == _table(dense).rows
+                    # Every part of every bound, with each flow under its id.
+                    assert terms(moved, mode) == [
+                        (ids[fid], term, None if other is None else ids[other], c)
+                        for fid, term, other, c in terms(dense, mode)
+                    ]
 
 
 def _placements():
@@ -522,6 +577,66 @@ def _placements():
                 f._replace(src=cores[f.src], dst=cores[f.dst])
                 for f in traffic
             ])
+
+
+def _check_terms(fs: Flowset, mode: ProtocolMode) -> tuple[int, int]:
+    """Assert that every bound of ``analyze`` is the sum of its flow's
+    ``terms`` rows and that a flow without a bound has none; returns the
+    (bounded, unbounded) flow counts."""
+    sums: dict[int, int] = {}
+    order = []
+    for fid, term, other, cycles in terms(fs, mode):
+        if fid not in sums:
+            order.append(fid)
+        sums[fid] = sums.get(fid, 0) + cycles
+        assert term in ("no_load", "loops", "post", "idle", "queue")
+        if term == "queue":
+            assert other is not None
+        elif term != "idle":
+            assert other is None
+        assert cycles >= 0
+    flows = analyze(fs, mode).flows
+    assert sums == {fa.flow_id: fa.bound for fa in flows if fa.bound is not None}
+    assert order == [fa.flow_id for fa in flows if fa.bound is not None]
+    bounded = len(sums)
+    return bounded, len(flows) - bounded
+
+
+class TestTerms:
+    """``terms`` splits every bound ``analyze`` reports into parts that sum
+    to it exactly, in flow order; a flow without a bound has no rows."""
+
+    def test_parts_sum_to_bounds_on_the_dominance_corpus(self):
+        from test_acceptance import _dominance_corpus
+        bounded = 0
+        for fs, _ in _dominance_corpus():
+            for mode in (BASE, PROP):
+                bounded += _check_terms(fs, mode)[0]
+        assert bounded == 20_160
+
+    def test_flows_without_a_bound_have_no_rows(self):
+        counts = [0, 0]
+        for fs in _sweep_sized_draws():
+            for mode in (BASE, PROP):
+                for i, n in enumerate(_check_terms(fs, mode)):
+                    counts[i] += n
+        assert min(counts) > 1000
+
+    def test_parts_sum_to_bounds_on_placements(self):
+        bounded = 0
+        for fs in _placements():
+            for mode in (BASE, PROP):
+                bounded += _check_terms(fs, mode)[0]
+        assert bounded == 3 * 3 * 2 * 39
+
+    def test_parts_sum_to_unconverged_bounds_at_the_pass_cap(self, monkeypatch):
+        fs = generate_flowset(
+            SweepConfig(), generate_rlrec(4, 4), 20, (16, 48), random.Random(5)
+        ).with_maxloop(1)
+        monkeypatch.setattr(rlnoc.analysis, "MAX_PASSES", 1)
+        for mode in (BASE, PROP):
+            assert not any(fa.converged for fa in analyze(fs, mode).flows)
+            assert _check_terms(fs, mode) == (len(fs), 0)
 
 
 class TestConfirmingPass:
@@ -723,10 +838,9 @@ class TestFixedPointOracle:
     @settings(max_examples=150, deadline=None)
     @given(micro_instances(), st.sampled_from([BASE, PROP]))
     def test_iteration_matches_linear_scan(self, fs, mode):
+        first = _first_idle(fs, mode)
         for f in fs:
-            assert pre_injection_idle(fs, f.flow_id, mode) == _scan_idle(
-                fs, f.flow_id, mode
-            )
+            assert first[f.flow_id] == _scan_idle(fs, f.flow_id, mode)
 
     @settings(max_examples=60, deadline=None)
     @given(micro_instances())
@@ -734,19 +848,20 @@ class TestFixedPointOracle:
         jmap = {f.flow_id: 3 * f.flow_id for f in fs}
         for f in fs:
             for mode in (BASE, PROP):
-                got = pre_injection_idle(fs, f.flow_id, mode, jmap)
+                got = _idle_wait(fs, f.flow_id, mode, jmap)
                 assert got == _scan_idle(fs, f.flow_id, mode, jmap)
 
 
 class TestDivergenceCap:
     def test_cap_scales_with_peer_deflections(self):
         fs = _deflecting_pair()
-        # Flow 0: period 1000, one ring peer with maxloop=1.
-        assert divergence_cap(fs, 0) == 2000
-        # Flow 1: peer flow 0 has maxloop 0.
-        assert divergence_cap(fs, 1) == 1000
+        for mode in (BASE, PROP):
+            # Flow 0: period 1000, one ring peer with maxloop=1.
+            assert _window(fs, 0, mode)[1] == 2000
+            # Flow 1: peer flow 0 has maxloop 0.
+            assert _window(fs, 1, mode)[1] == 1000
 
     def test_hard_cap_wins_when_smaller(self, monkeypatch):
         fs = _deflecting_pair()
         monkeypatch.setattr(rlnoc.analysis, "HARD_CAP", 500)
-        assert divergence_cap(fs, 0) == 500
+        assert _window(fs, 0, BASE)[1] == 500

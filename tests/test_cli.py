@@ -1,7 +1,11 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
+import csv
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -83,12 +87,14 @@ class TestGenCommands:
 
     def test_gen_flowset_negative_maxloop_exit_two(self, tmp_path, capsys):
         out = tmp_path / "fs.json"
-        rc = cli.main([
-            "gen-flowset", "--grid", "4", "--flows", "5",
-            "--maxloop", "-1", "--out", str(out),
-        ])
-        assert rc == 2
-        assert "maxloop" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "gen-flowset", "--grid", "4", "--flows", "5",
+                "--maxloop", "-1", "--out", str(out),
+            ])
+        assert exc.value.code == 2
+        assert ("argument --maxloop: must be at least 0, got -1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_gen_flowset_flow_count_below_one_exit_two(self, tmp_path, capsys):
@@ -135,6 +141,27 @@ class TestAnalyzeCommand:
         lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2
 
+    def test_terms_csv_sums_to_report_bounds(self, small_flowset, tmp_path):
+        rc = cli.main(["analyze", small_flowset, "--out-dir", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            report = list(csv.DictReader(fh))
+        with open(tmp_path / "terms.csv", newline="") as fh:
+            lines = list(csv.reader(fh))
+        assert lines[0] == ["flow_id", "mode", "term", "from_flow", "cycles"]
+        sums: dict[tuple[str, str], int] = {}
+        for fid, mode, term, other, cycles in lines[1:]:
+            # Only an interferer's or a sharer's share names another flow.
+            if other:
+                assert term in ("idle", "queue")
+            elif term == "queue":
+                raise AssertionError("a queue share names no sharer")
+            sums[fid, mode] = sums.get((fid, mode), 0) + int(cycles)
+        # Rows come grouped by mode, baseline first, as in report.csv.
+        modes = [row[1] for row in lines[1:]]
+        assert modes == sorted(modes) and set(modes) == {"baseline", "proposed"}
+        assert sums == {(r["flow_id"], r["mode"]): int(r["R"]) for r in report}
+
     def test_single_mode(self, small_flowset, tmp_path):
         cli.main([
             "analyze", small_flowset, "--mode", "proposed",
@@ -151,6 +178,17 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "'T'" in err and "missing" in err
 
+
+    def test_non_square_grid_without_rings_names_cols(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 3,\n "cols": 4,\n "flows": []}\n')
+        rc = cli.main(["analyze", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: field 'cols' is invalid: grid must be square, "
+            f"got 3x4 (line 2)\n"
+        )
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("switch", ["1.5", "true", "2.0"])
     def test_non_integer_switch_id_exit_two(self, tmp_path, capsys, switch):
@@ -495,3 +533,27 @@ class TestOutDir:
         cli.main(["analyze", small_flowset, "--out-dir", str(explicit)])
         assert (explicit / "report.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestModuleEntry:
+    """``python -m rlnoc`` runs the same front end as the ``rlnoc`` script."""
+
+    @staticmethod
+    def _run(tmp_path, *args):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "rlnoc", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+
+    def test_help_exits_zero(self, tmp_path):
+        done = self._run(tmp_path, "--help")
+        assert done.returncode == 0
+        assert "analyze" in done.stdout
+
+    def test_missing_flowset_exits_two(self, tmp_path):
+        done = self._run(tmp_path, "analyze", "missing.json")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: missing.json: ")
+        assert not (tmp_path / "report.csv").exists()

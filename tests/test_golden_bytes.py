@@ -8,9 +8,12 @@ flows stopped carrying their derived ring and budget, the jittered hotspot
 case before the simulator numbered its ports and let each flit carry its
 packet, the 9x9 improvement case before the analysis built each flow's
 bound inputs into one position-indexed table, the drops stress case before
-the simulator's per-cycle phases became one loop).  A change that alters any
-of these bytes changes a result, not just its speed.
+the simulator's per-cycle phases became one loop).  The two ``terms.csv``
+digests were recorded when ``rlnoc analyze`` began to write that file, and
+their tests check that its rows sum to the bounds in ``report.csv``.  A change that
+alters any of these bytes changes a result, not just its speed.
 """
+import csv
 import hashlib
 import io
 import json
@@ -39,10 +42,13 @@ GOLDEN = {
     "improvement_9x9.csv": "8c9844116421eedf4d76564b0fed0236dd15734ea5b6129c8d38850e74aeebdd",
     "fs.json": "df008fa2e3ca5f622652938cc62ab1b6e232e3334e1e7f5e2a1f9bc36de322aa",
     "report.csv": "23c664879d94e46635cd32eb5f4cad66520572f7f79c61032e54e073ed8ca26d",
+    "terms.csv": "50fe8fbb0f55df4b944de86a10705ece1f39288da657142c9579c106703b8c62",
     # 4x4, 100 flows, maxloop 2: every baseline flow diverges and 14
     # proposed flows miss their deadlines, over 12 outer passes.
     "fs_4x4_100.json": "07ce82598cadb0c8ee93c9eb2d6566a7e79216545dbcb5429163ae7f3cf1163b",
     "report_4x4_100.csv": "e226ef667ff0920e9bedfbeb39c63e13e4c2c999af3145297c33ee6d718886d5",
+    # Its diverged baseline flows have no rows: proposed rows only.
+    "terms_4x4_100.csv": "33593a2e6ffa1706fe4c21e623f0f793889747f3cbf698ad06dc57be2bb82120",
     # 4x4, 40 flows of 2-4 flits, synchronous releases: 16 baseline and 19
     # proposed deflections, every one of them re-injected.
     "fs_sim.json": "8b99e091a53ebd144da1c7f4a1a939f2b764d9cccd6e338e3510d39283aac5d4",
@@ -120,18 +126,30 @@ def _gen_and_analyze(tmp_path, grid, flows, maxloop):
         "analyze", str(flowset), "--mode", "both", "--out-dir", str(tmp_path),
     ])
     assert rc == 0
-    return _sha256(flowset), _sha256(tmp_path / "report.csv")
+    # Each flow's terms.csv rows sum to its report.csv bound; a flow
+    # without one has no rows.
+    sums: dict[tuple[str, str], int] = {}
+    with open(tmp_path / "terms.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            key = row["flow_id"], row["mode"]
+            sums[key] = sums.get(key, 0) + int(row["cycles"])
+    with open(tmp_path / "report.csv", newline="") as fh:
+        assert sums == {(row["flow_id"], row["mode"]): int(row["R"])
+                        for row in csv.DictReader(fh) if row["R"]}
+    return (_sha256(flowset), _sha256(tmp_path / "report.csv"),
+            _sha256(tmp_path / "terms.csv"))
 
 
 def test_flowset_and_report_csv_bytes(tmp_path):
     assert _gen_and_analyze(tmp_path, "5", "40", "1") == (
-        GOLDEN["fs.json"], GOLDEN["report.csv"],
+        GOLDEN["fs.json"], GOLDEN["report.csv"], GOLDEN["terms.csv"],
     )
 
 
 def test_diverged_and_missed_report_csv_bytes(tmp_path):
     assert _gen_and_analyze(tmp_path, "4", "100", "2") == (
         GOLDEN["fs_4x4_100.json"], GOLDEN["report_4x4_100.csv"],
+        GOLDEN["terms_4x4_100.csv"],
     )
 
 
