@@ -12,10 +12,12 @@ import random
 import pytest
 
 import rlnoc.cli as cli
+import rlnoc.sim as sim
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 from rlnoc.analysis import ProtocolMode, analyze
 from rlnoc.files import load_flowset
 from rlnoc.model import (
+    Flow,
     Flowset,
     ModelError,
     NetworkTopology,
@@ -62,10 +64,15 @@ def _latencies(trace):
 
 
 def _both(flowset, pattern, horizon, **kw):
+    """Both modes, each simulated on its own flowset object.
+
+    A second run of one object copies the first's busy periods without a
+    deflection, so comparing the modes needs two simulations.
+    """
     base = run(flowset, BASE, pattern=pattern, horizon=horizon,
                protocol_check=True, **kw)
-    prop = run(flowset, PROP, pattern=pattern, horizon=horizon,
-               protocol_check=True, **kw)
+    prop = run(Flowset(flowset.topology, flowset.flows), PROP,
+               pattern=pattern, horizon=horizon, protocol_check=True, **kw)
     return base, prop
 
 
@@ -325,6 +332,55 @@ class TestReInjectionBuffer:
         run(fs, PROP, pattern=Synchronous(), horizon=20_000)
 
 
+class _Offsets(ReleasePattern):
+    """Release 0 of flow i at ``offsets[i]``, release n at offset + nT - J."""
+
+    def __init__(self, offsets: dict[int, int]) -> None:
+        self.offsets = offsets
+
+    def release_times(self, flow, horizon, seed):
+        first = self.offsets[flow.flow_id]
+        times = [first] + [first + n * flow.period - flow.jitter
+                           for n in range(1, horizon // flow.period + 2)]
+        return [t for t in times if t < horizon]
+
+
+class TestOldestFirstBudget:
+    """Known defect, frozen until the deflection budget changes.
+
+    Four flows to core 2 on the 3x3 grid, T = D = 72 each, with derived
+    budgets {0: 1, 1: 3, 2: 1, 3: 1}.  The analysis accepts the flowset in
+    both modes, yet flow 2's first packet is deflected twice in both modes
+    (latency 23, bound 51): the Oldest-First count is not a bound.
+    """
+
+    def _flowset(self):
+        spec = [(3, 0, 3), (2, 0, 4), (3, 24, 1), (2, 0, 0)]  # (L, J, src)
+        return Flowset(generate_rlrec(3, 3), [
+            Flow(fid, 72, 72, length, jitter, src, 2)
+            for fid, (length, jitter, src) in enumerate(spec)
+        ])
+
+    def test_analysis_accepts_the_flowset(self):
+        fs = self._flowset()
+        assert analyze(fs, BASE).schedulable
+        assert analyze(fs, PROP).schedulable
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP direction 2: flow 2 is deflected "
+                              "twice on a budget of 1")
+    def test_no_packet_deflected_beyond_its_budget(self):
+        over = []
+        for mode in (BASE, PROP):
+            fs = self._flowset()
+            trace = run(fs, mode, pattern=_Offsets({0: 0, 1: 0, 2: 4, 3: 4}),
+                        horizon=288, protocol_check=True)
+            over += [(mode, r.flow_id, r.seq, r.deflections)
+                     for r in trace.records
+                     if r.deflections > fs.maxloops[r.flow_id]]
+        assert over == []
+
+
 class TestBoundFlagging:
     def test_delivered_over_bound_flagged(self):
         fs = single_flow_ring8(length=8)
@@ -502,3 +558,102 @@ class TestBoundConsistency:
                         fs, rec.flow_id
                     )
         assert checked == 10
+
+
+def _replay_draw(seed: int):
+    """An overloaded hotspot flowset: 2x2 to 4x4, 3-12 flows of 1-4 flits
+    to 1-3 shared destinations, periods 6-80, jitter 0 or T/3."""
+    rng = random.Random(f"{seed}:replay-corpus")
+    grid = rng.randint(2, 4)
+    cores = range(grid * grid)
+    hot = rng.sample(cores, rng.randint(1, 3))
+    flows = []
+    for fid in range(rng.randint(3, 12)):
+        dst = rng.choice(hot)
+        src = rng.choice([c for c in cores if c != dst])
+        period = rng.randint(6, 80)
+        flows.append(Flow(fid, period, period, rng.randint(1, 4),
+                          rng.choice((0, period // 3)), src, dst))
+    return generate_rlrec(grid, grid), flows
+
+
+def _run_or_error(fs, mode, pattern, check=True):
+    """The trace of one run, or the message of its invariant error."""
+    bounds = {f.flow_id: f.period // (2 if mode is PROP else 1) for f in fs}
+    try:
+        return run(fs, mode, pattern=pattern, horizon=400, seed="r",
+                   bounds=bounds, protocol_check=check)
+    except SimInvariantError as err:
+        return str(err)
+
+
+def _fields(out):
+    """Every field of a trace that a run computes, or the error message."""
+    if isinstance(out, str):
+        return out
+    return (
+        [(r.flow_id, r.seq, r.release, r.inject_start, r.eject_end,
+          r.deflections, r.dropped, r.violated) for r in out.records],
+        out.flit_hops, out.retention_violations, out.bound_violations,
+        dict(out.max_latency), dict(out.max_deflections),
+    )
+
+
+def _replayed(before, after):
+    """Periods of ``after``'s log copied from ``before``'s, not simulated."""
+    return sum(entry is before.get(start) for start, entry in after.items())
+
+
+class TestBusyPeriodReplay:
+    """A later run of one flowset object copies the earlier run's busy
+    periods without a deflection; it must equal a fresh simulation."""
+
+    PATTERNS = (Synchronous(), Periodic(), PeriodicWithJitter(), Sporadic())
+
+    def test_replayed_runs_match_fresh_runs(self):
+        seen = dict.fromkeys(
+            ("replayed", "cut", "deflected", "dropped", "overflow"), 0)
+        for seed in range(30):
+            top, flows = _replay_draw(seed)
+            fresh = {}
+            for order in ((BASE, PROP), (PROP, BASE)):
+                # One object across all patterns: a changed schedule must
+                # not replay the previous pattern's periods.
+                shared = Flowset(top, flows)
+                for k, pattern in enumerate(self.PATTERNS):
+                    got, log = {}, {}
+                    for mode in order:
+                        got[mode] = _run_or_error(shared, mode, pattern)
+                        log, before = sim._PERIODS[shared][2], log
+                        seen["replayed"] += _replayed(before, log)
+                        seen["cut"] += any(e[0] == 400 for e in log.values())
+                    for mode, out in got.items():
+                        if (k, mode) not in fresh:
+                            fresh[k, mode] = _fields(_run_or_error(
+                                Flowset(top, flows), mode, pattern))
+                        assert _fields(out) == fresh[k, mode], (
+                            seed, order, type(pattern).__name__, mode)
+                        if isinstance(out, str):
+                            seen["overflow"] += out.startswith(
+                                "buffer overflow")
+                            continue
+                        seen["deflected"] += any(
+                            r.deflections for r in out.records)
+                        seen["dropped"] += out.retention_violations > 0
+        assert all(seen.values()), seen
+
+    def test_checked_run_replays_no_unchecked_period(self):
+        top, flows = _replay_draw(0)
+        fs = Flowset(top, flows)
+        pattern = PeriodicWithJitter()
+        _run_or_error(fs, BASE, pattern, check=False)
+        unchecked = sim._PERIODS[fs][2]
+        assert unchecked
+        checked = _run_or_error(fs, PROP, pattern)
+        log = sim._PERIODS[fs][2]
+        assert _replayed(unchecked, log) == 0
+        assert _fields(checked) == _fields(
+            _run_or_error(Flowset(top, flows), PROP, pattern))
+        # An unchecked run may copy what a checked run simulated.
+        _run_or_error(fs, BASE, pattern, check=False)
+        assert _replayed(log, sim._PERIODS[fs][2]) > 0
