@@ -11,7 +11,7 @@ from .model import (
     maxloop_oldest_first,
     no_load_latency,
 )
-from .sim import ReleasePattern, SimTrace, Synchronous, run
+from .sim import ReleasePattern, SimTrace, run
 
 __all__ = [
     "AnalysisReport",
@@ -24,7 +24,6 @@ __all__ = [
     "ReleasePattern",
     "Ring",
     "SimTrace",
-    "Synchronous",
     "analyze",
     "generate_rlrec",
     "maxloop_oldest_first",

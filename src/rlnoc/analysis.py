@@ -12,9 +12,7 @@ switch only when deflected contribute just their one header flit per loop.
 """
 from __future__ import annotations
 
-import time
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -52,13 +50,11 @@ class FlowAnalysis(NamedTuple):
     iterations: int
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     mode: ProtocolMode
     flows: tuple[FlowAnalysis, ...]
     schedulable: bool
     passes: int
-    wall_time: float
 
 
 class _Row(NamedTuple):
@@ -398,7 +394,6 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
     the fixed point, the last pass's bounds may be too low: every flow is
     then reported with ``converged=False`` and ``schedulable=False``.
     """
-    start = time.perf_counter()
     passes = 0
     for last in _passes(flowset, mode):
         passes += 1
@@ -416,7 +411,6 @@ def analyze(flowset: Flowset, mode: ProtocolMode) -> AnalysisReport:
         flows=flows,
         schedulable=all(fa.schedulable for fa in flows),
         passes=passes,
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -123,8 +123,7 @@ class SweepConfig:
 _HINTS = get_type_hints(SweepConfig)  # resolved once, not per config
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     grid: int
     packet_range: tuple[int, int]
     n_flows: int
@@ -259,9 +258,12 @@ def schedulability_sweep(
     """Evaluate every configured point; rows come back in ``points`` order.
 
     Each grid's topology, with its route table, is built once per call.
+    ``jobs`` is capped at the number of points, as a pool may fork all its
+    workers at once; one job or one point runs in this process.
     """
     topologies = {g: generate_rlrec(g, g) for g in config.grids}
     tasks = [(config, topologies[g], p, n) for g, p, n in config.points()]
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         results = [_evaluate_point(*t) for t in tasks]
     else:
@@ -278,11 +280,8 @@ class ImprovementRow(NamedTuple):
     improvement_pct: float | None
 
 
-@dataclass(frozen=True)
-class ImprovementReport:
+class ImprovementReport(NamedTuple):
     rows: tuple[ImprovementRow, ...]
-    n_mappings: int
-    seed: str
     max_improvement_pct: float
     mean_improvement_pct: float
 
@@ -345,8 +344,6 @@ def improvement_report(
             mapping_means.append(fmean(gains))
     return ImprovementReport(
         rows=tuple(rows),
-        n_mappings=n_mappings,
-        seed=seed,
         max_improvement_pct=best,
         mean_improvement_pct=fmean(mapping_means) if mapping_means else 0.0,
     )

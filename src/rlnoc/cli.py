@@ -37,21 +37,7 @@ from .files import (
     write_trace_summary_csv,
 )
 from .model import Flowset, ModelError, generate_rlrec
-from .sim import (
-    Periodic,
-    PeriodicWithJitter,
-    SimInvariantError,
-    Sporadic,
-    Synchronous,
-    run,
-)
-
-_PATTERNS = {
-    "synchronous": Synchronous,
-    "periodic": Periodic,
-    "jitter": PeriodicWithJitter,
-    "sporadic": Sporadic,
-}
+from .sim import PATTERNS, SimInvariantError, run
 
 
 def _modes(arg: str) -> tuple[ProtocolMode, ...]:
@@ -156,13 +142,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     fs = load_flowset(args.flowset)
     out = _out_dir(args)
-    pattern = _PATTERNS[args.pattern]()
     violations = 0
     for mode in _modes(args.mode):
         report = analyze(fs, mode)
         bounds = {fa.flow_id: fa.bound for fa in report.flows if fa.converged}
         trace = run(
-            fs, mode, pattern=pattern, horizon=args.horizon,
+            fs, mode, pattern=PATTERNS[args.pattern], horizon=args.horizon,
             seed=args.seed, bounds=bounds,
             protocol_check=args.protocol_check,
         )
@@ -266,9 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("flowset")
     p.add_argument("--mode", choices=("baseline", "proposed", "both"),
                    default="both")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--seed", default="0")
-    p.add_argument("--pattern", choices=sorted(_PATTERNS),
+    p.add_argument("--pattern", choices=sorted(PATTERNS),
                    default="synchronous")
     p.add_argument("--protocol-check", action="store_true")
     p.add_argument("--out-dir", default=None)

@@ -47,30 +47,9 @@ class Ring:
             raise ModelError(f"ring {self.ring_id}: needs at least 2 switches")
         if len(set(self.switches)) != len(self.switches):
             raise ModelError(f"ring {self.ring_id}: switches must be distinct")
-        object.__setattr__(
-            self, "_index", {s: i for i, s in enumerate(self.switches)}
-        )
 
     def __len__(self) -> int:
         return len(self.switches)
-
-    def __contains__(self, switch: SwitchId) -> bool:
-        return switch in self._index  # type: ignore[attr-defined]
-
-    def position(self, switch: SwitchId) -> int:
-        try:
-            return self._index[switch]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ModelError(
-                f"switch {switch} is not on ring {self.ring_id}"
-            ) from None
-
-    def path(self, src: SwitchId, dst: SwitchId) -> tuple[SwitchId, ...]:
-        """Switches traversed from src to dst, inclusive of both endpoints."""
-        i, j = self.position(src), self.position(dst)
-        n = len(self.switches)
-        hops = (j - i) % n
-        return tuple(self.switches[(i + k) % n] for k in range(hops + 1))
 
 
 @dataclass(frozen=True)

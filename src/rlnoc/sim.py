@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .analysis import ProtocolMode
 from .model import Flow, Flowset, ModelError, maxloop_oldest_first
@@ -82,18 +82,9 @@ class PacketRecord:
             return None
         return self.eject_end - self.release + 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PacketRecord(flow={self.flow_id}, seq={self.seq}, "
-            f"release={self.release}, latency={self.latency}, "
-            f"deflections={self.deflections})"
-        )
-
 
 class SimTrace(NamedTuple):
-    mode: ProtocolMode
     horizon: int
-    seed: str
     records: tuple[PacketRecord, ...]
     max_latency: Mapping[int, int]
     max_deflections: Mapping[int, int]
@@ -112,68 +103,63 @@ class SimTrace(NamedTuple):
         return {fid: tuple(tally[fid]) for fid in sorted(tally)}
 
 
-class ReleasePattern:
-    """Generates non-decreasing release times per flow, below the horizon."""
-
-    def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        raise NotImplementedError
-
-    def _rng(self, flow: Flow, seed: str) -> random.Random:
-        return random.Random(f"{seed}:{type(self).__name__}:{flow.flow_id}")
+# A flow's non-decreasing release times below the horizon, from a seed.
+ReleasePattern = Callable[[Flow, int, str], list[int]]
 
 
-class Synchronous(ReleasePattern):
+def synchronous(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Every flow bursts at 0, later releases pulled in by the full jitter.
 
     Release n is max(0, n*T - J): the critical-instant shape where the first
     packet is maximally delayed and all following ones arrive as early as
     their jitter allows.
     """
-
-    def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        out, n = [], 0
-        while True:
-            t = max(0, n * flow.period - flow.jitter)
-            if t >= horizon:
-                return out
-            out.append(t)
-            n += 1
+    out, n = [], 0
+    while True:
+        t = max(0, n * flow.period - flow.jitter)
+        if t >= horizon:
+            return out
+        out.append(t)
+        n += 1
 
 
-class Periodic(ReleasePattern):
+def periodic(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Every flow releases at each multiple of its period, from 0."""
-
-    def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        return list(range(0, horizon, flow.period))
+    return list(range(0, horizon, flow.period))
 
 
-class PeriodicWithJitter(ReleasePattern):
+# A flow's stream is named "seed:Name:flow id"; recorded traces pin the draws.
+def periodic_with_jitter(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Nominal period boundaries, each release delayed by uniform [0, J]."""
-
-    def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        rng = self._rng(flow, seed)
-        out, n, last = [], 0, 0
-        while True:
-            t = n * flow.period + rng.randint(0, flow.jitter)
-            t = max(t, last)  # keep releases ordered even with large jitter
-            if t >= horizon:
-                return out
-            out.append(t)
-            last = t
-            n += 1
+    rng = random.Random(f"{seed}:PeriodicWithJitter:{flow.flow_id}")
+    out, n, last = [], 0, 0
+    while True:
+        t = n * flow.period + rng.randint(0, flow.jitter)
+        t = max(t, last)  # keep releases ordered even with large jitter
+        if t >= horizon:
+            return out
+        out.append(t)
+        last = t
+        n += 1
 
 
-class Sporadic(ReleasePattern):
+def sporadic(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Consecutive releases separated by at least one period."""
+    rng = random.Random(f"{seed}:Sporadic:{flow.flow_id}")
+    out = []
+    t = rng.randint(0, flow.period)
+    while t < horizon:
+        out.append(t)
+        t += flow.period + rng.randint(0, flow.period)
+    return out
 
-    def release_times(self, flow: Flow, horizon: int, seed: str) -> list[int]:
-        rng = self._rng(flow, seed)
-        out = []
-        t = rng.randint(0, flow.period)
-        while t < horizon:
-            out.append(t)
-            t += flow.period + rng.randint(0, flow.period)
-        return out
+
+PATTERNS: dict[str, ReleasePattern] = {
+    "synchronous": synchronous,
+    "periodic": periodic,
+    "jitter": periodic_with_jitter,
+    "sporadic": sporadic,
+}
 
 
 HORIZON_CAP = 2_000_000
@@ -258,16 +244,8 @@ class _Simulator:
             self.port_cap.extend([flowset.ring_buffers[ring.ring_id]] * n)
         # ``run`` reads a taken slot in the next cycle's arrivals as proof
         # that the one port feeding it has sent, so no two ports may share a
-        # successor.
-        fed: set[int] = set()
-        for nxt in self.next_port:
-            if nxt in fed:
-                ring = self.port_ring[nxt]
-                raise SimInvariantError(
-                    f"two flits on one link: ring {ring} position "
-                    f"{nxt - self.ring_base[ring]}"
-                )
-            fed.add(nxt)
+        # successor: each ring's shift above is a permutation of its own
+        # ports (``TestPortNumbering::test_next_port_walks_each_ring_in_order``).
 
         # flow id -> (length, source port, destination switch, ring)
         self.flow_facts: dict[int, tuple[int, int, int, int]] = {}
@@ -339,7 +317,7 @@ class _Simulator:
         """
         schedule: list[tuple[int, int, int]] = []  # (time, flow_id, seq)
         for f in self.fs:
-            for seq, t in enumerate(pattern.release_times(f, horizon, seed)):
+            for seq, t in enumerate(pattern(f, horizon, seed)):
                 schedule.append((t, f.flow_id, seq))
         schedule.sort()
         schedule.append((horizon, -1, -1))  # never released
@@ -555,9 +533,9 @@ class _Simulator:
         else:  # the horizon cut the last busy period
             if not deflected:
                 log[start] = (horizon, records[first:], hops - hops0)
-        return self._trace(records, horizon, seed, hops, drops)
+        return self._trace(records, horizon, hops, drops)
 
-    def _trace(self, records: list[PacketRecord], horizon: int, seed: str,
+    def _trace(self, records: list[PacketRecord], horizon: int,
                flit_hops: int, drops: int) -> SimTrace:
         # Records were made in schedule order: by release, flow id and seq.
         max_latency: dict[int, int] = {}
@@ -579,9 +557,7 @@ class _Simulator:
                 rec.violated = True
                 violations += 1
         return SimTrace(
-            mode=self.mode,
             horizon=horizon,
-            seed=seed,
             records=tuple(records),
             max_latency=max_latency,
             max_deflections=max_deflections,
@@ -594,7 +570,7 @@ class _Simulator:
 def run(
     flowset: Flowset,
     mode: ProtocolMode,
-    pattern: ReleasePattern | None = None,
+    pattern: ReleasePattern = synchronous,
     horizon: int | None = None,
     seed: str = "0",
     bounds: Mapping[int, int] | None = None,
@@ -612,4 +588,4 @@ def run(
     if horizon <= 0:
         raise ModelError("horizon must be positive")
     sim = _Simulator(flowset, mode, bounds, protocol_check)
-    return sim.run(pattern or Synchronous(), horizon, seed)
+    return sim.run(pattern, horizon, seed)

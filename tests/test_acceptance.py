@@ -11,7 +11,7 @@ from rlnoc.analysis import ProtocolMode, _passes, _table, analyze, terms
 from rlnoc.bench import SweepConfig, generate_flowset, improvement_report, schedulability_sweep
 from rlnoc.files import load_traffic, sample_traffic_path
 from rlnoc.model import Flow, Flowset, ModelError, generate_rlrec
-from rlnoc.sim import ReleasePattern, Synchronous, run
+from rlnoc.sim import run, synchronous
 
 from conftest import make_flow, multi_ring_2x4, perimeter_ring8, single_flow_ring8
 
@@ -224,7 +224,7 @@ def test_4_simulation_within_bounds():
             ):
                 assert report.schedulable
                 bounds = {fa.flow_id: fa.bound for fa in report.flows}
-                trace = run(fs, mode, pattern=Synchronous(), bounds=bounds)
+                trace = run(fs, mode, pattern=synchronous, bounds=bounds)
                 assert trace.bound_violations == 0, (grid, mode)
                 assert trace.retention_violations == 0
                 packets += len(trace.records)
@@ -272,7 +272,8 @@ def test_6_topology_contract():
             for b in range(n):
                 if a != b:
                     assert any(
-                        a in ring and b in ring for ring in top.rings
+                        a in ring.switches and b in ring.switches
+                        for ring in top.rings
                     ), (grid, a, b)
     _ok(6, "10 rings on 4x4, 24 on 6x6; every core pair shares a ring "
            "on all grids 2x2-9x9")
@@ -304,12 +305,11 @@ def test_7_placement_improvement():
     _ok(7, "pooled means fall with grid size: " + "; ".join(lines))
 
 
-class _Explicit(ReleasePattern):
-    def __init__(self, times):
-        self.times = times
+def _explicit(times):
+    def pattern(flow, horizon, seed):
+        return [t for t in times.get(flow.flow_id, []) if t < horizon]
 
-    def release_times(self, flow, horizon, seed):
-        return [t for t in self.times.get(flow.flow_id, []) if t < horizon]
+    return pattern
 
 
 def _twin(fs: Flowset) -> Flowset:
@@ -324,7 +324,7 @@ def test_8_traffic_reduction():
     fs = Flowset(top, [
         make_flow(0, 3, 6, length=2), make_flow(1, 2, 6, length=2),
     ])
-    pattern = _Explicit({0: [0], 1: [1]})
+    pattern = _explicit({0: [0], 1: [1]})
     base = run(fs, BASE, pattern=pattern, horizon=64, protocol_check=True)
     prop = run(_twin(fs), PROP, pattern=pattern, horizon=64,
                protocol_check=True)
@@ -350,8 +350,8 @@ def test_8_traffic_reduction():
     # Random schedulable corpora: saving iff some wide packet deflected.
     savings = equalities = 0
     for fs, _ in _schedulable_corpus(4, 40):
-        base = run(fs, BASE, pattern=Synchronous(), horizon=50_000)
-        prop = run(_twin(fs), PROP, pattern=Synchronous(), horizon=50_000)
+        base = run(fs, BASE, pattern=synchronous, horizon=50_000)
+        prop = run(_twin(fs), PROP, pattern=synchronous, horizon=50_000)
         wide_deflected = any(
             r.deflections > 0 and fs.flow(r.flow_id).length > 1
             for r in prop.records

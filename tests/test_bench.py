@@ -76,8 +76,8 @@ class TestGeneration:
             assert 0 <= f.jitter <= f.period // 2
             assert f.src != f.dst
             ring = fs.topology.rings[fs.placement(f.flow_id).ring]
-            assert f.src in ring
-            assert f.dst in ring
+            assert f.src in ring.switches
+            assert f.dst in ring.switches
 
     def test_empty_flowset_is_trivially_schedulable(self):
         cfg = SweepConfig()
@@ -243,6 +243,33 @@ class TestSweep:
 
     def test_parallel_merge_matches_serial(self, result):
         assert schedulability_sweep(TINY, jobs=2) == result
+
+    def test_jobs_capped_at_point_count(self, result, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and maps in this process: starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(rlnoc.bench, "ProcessPoolExecutor", InlinePool)
+        assert schedulability_sweep(TINY, jobs=10**6) == result
+        n_points = len(list(TINY.points()))
+        assert sizes == [n_points]
+        # A single point runs serially, whatever the job count.
+        one = replace(TINY, flows_end=TINY.flows_start)
+        assert schedulability_sweep(one, jobs=8) == result[:len(result) // n_points]
+        assert sizes == [n_points]
 
     def test_topology_built_once_per_grid_per_call(self, monkeypatch):
         cfg = replace(TINY, grids=(4, 5), flowsets_per_point=1)

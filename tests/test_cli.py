@@ -1,6 +1,5 @@
 """End-to-end command behavior: exit codes, artifacts, determinism."""
 import csv
-import dataclasses
 import json
 import os
 import random
@@ -258,7 +257,7 @@ class TestSimulateCommand:
             flows = tuple(
                 fa._replace(bound=1) for fa in rep.flows
             )
-            return dataclasses.replace(rep, flows=flows)
+            return rep._replace(flows=flows)
 
         monkeypatch.setattr(cli, "analyze", tightened)
         rc = cli.main([
@@ -294,7 +293,7 @@ class TestSimulateCommand:
                 fa._replace(converged=fa.flow_id != 1)
                 for fa in rep.flows
             )
-            return dataclasses.replace(rep, flows=flows)
+            return rep._replace(flows=flows)
 
         monkeypatch.setattr(cli, "analyze", flow_one_unconverged)
         rc = cli.main([
@@ -335,6 +334,18 @@ class TestSimulateCommand:
         assert rc == 3
         assert capsys.readouterr().err == (
             "error: buffer overflow at switch 3 ring 0\n")
+
+    def test_horizon_below_one_exit_two(self, tmp_path, capsys):
+        # The flag is checked before the flowset is read: none exists here.
+        missing = str(tmp_path / "missing.json")
+        for horizon in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate", missing, "--horizon", horizon,
+                          "--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+            assert (f"argument --horizon: must be at least 1, got {horizon}"
+                    in capsys.readouterr().err)
+        assert not list(tmp_path.glob("trace_*.csv"))
 
 
 class TestSweepCommand:

@@ -265,7 +265,7 @@ def test_drops_stress_simulation(mode, pattern):
     arbitrates among several headers more than 1,200 times, and proposed
     mode drops returning headers whose payload was evicted."""
     trace = sim.run(_drops_flowset(), ProtocolMode(mode),
-                    cli._PATTERNS[pattern](), horizon=3000, seed="0",
+                    sim.PATTERNS[pattern], horizon=3000, seed="0",
                     protocol_check=True)
     out = io.StringIO(newline="")
     write_trace_csv(out, trace)

@@ -43,7 +43,7 @@ def _pairs_covered(top: NetworkTopology) -> bool:
         for b in range(top.n_switches):
             if a == b:
                 continue
-            if not any(a in r and b in r for r in top.rings):
+            if not any(a in r.switches and b in r.switches for r in top.rings):
                 return False
     return True
 
@@ -113,11 +113,12 @@ class TestPath:
         dst=st.integers(0, 7),
     )
     def test_path_agrees_with_step_oracle_everywhere(self, src, dst):
-        ring = perimeter_ring8().rings[0]
+        top = perimeter_ring8()
+        ring = top.rings[0]
         if src == dst:
-            assert ring.path(src, dst) == (src,)
+            assert top.route(src, dst).path == (src,)
         else:
-            assert ring.path(src, dst) == _walk(ring, src, dst)
+            assert top.route(src, dst).path == _walk(ring, src, dst)
 
 
 class TestNoLoadLatency:
@@ -414,10 +415,12 @@ def test_path_endpoints_and_length_on_generated_grids(data):
     ring = data.draw(st.sampled_from(top.rings))
     src = data.draw(st.sampled_from(ring.switches))
     dst = data.draw(st.sampled_from([s for s in ring.switches if s != src]))
-    p = ring.path(src, dst)
+    route = top.route(src, dst)
+    p = route.path
     assert p[0] == src and p[-1] == dst
-    assert 2 <= len(p) <= len(ring)
-    assert p == _walk(ring, src, dst)
+    assert 2 <= len(p) <= len(top.rings[route.ring])
+    assert p == _walk(top.rings[route.ring], src, dst)
+    assert len(p) <= len(_walk(ring, src, dst))
 
 
 def _reference_index(top: NetworkTopology, flows: list[Flow]):
@@ -428,8 +431,8 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
     for f in flows:
         ring = best_len = None
         for r in top.rings:
-            if f.src in r and f.dst in r:
-                plen = len(r.path(f.src, f.dst))
+            if f.src in r.switches and f.dst in r.switches:
+                plen = len(_walk(r, f.src, f.dst))
                 if ring is None or plen < best_len:
                     ring, best_len = r.ring_id, plen
         rings[f.flow_id] = ring
@@ -444,7 +447,7 @@ def _reference_index(top: NetworkTopology, flows: list[Flow]):
         for f in flows
     }
     paths = {
-        f.flow_id: top.rings[rings[f.flow_id]].path(f.src, f.dst) for f in flows
+        f.flow_id: _walk(top.rings[rings[f.flow_id]], f.src, f.dst) for f in flows
     }
     sets, split, at_src = {}, {}, {}
     for f in flows:

@@ -26,29 +26,27 @@ from rlnoc.model import (
     maxloop_oldest_first,
 )
 from rlnoc.sim import (
-    Periodic,
-    PeriodicWithJitter,
-    ReleasePattern,
     SimInvariantError,
-    Sporadic,
-    Synchronous,
     _Simulator,
     default_horizon,
+    periodic,
+    periodic_with_jitter,
     run,
+    sporadic,
+    synchronous,
 )
 
 BASE = ProtocolMode.BASELINE
 PROP = ProtocolMode.PROPOSED
 
 
-class _Explicit(ReleasePattern):
+def _explicit(times: dict[int, list[int]]):
     """Fixed release lists keyed by flow id; flows not listed never release."""
 
-    def __init__(self, times: dict[int, list[int]]) -> None:
-        self.times = times
+    def pattern(flow, horizon, seed):
+        return [t for t in times.get(flow.flow_id, []) if t < horizon]
 
-    def release_times(self, flow, horizon, seed):
-        return [t for t in self.times.get(flow.flow_id, []) if t < horizon]
+    return pattern
 
 
 def _summary(trace):
@@ -79,7 +77,7 @@ def _both(flowset, pattern, horizon, **kw):
 class TestNoLoad:
     def test_single_flow_latency_is_no_load_latency(self):
         fs = single_flow_ring8(length=8)
-        trace = run(fs, BASE, pattern=Periodic(), horizon=3000,
+        trace = run(fs, BASE, pattern=periodic, horizon=3000,
                     protocol_check=True)
         # path (1,2,3,7) -> C = 4 + 8 = 12, every packet, no deflections
         assert len(trace.records) == 3
@@ -91,14 +89,14 @@ class TestNoLoad:
 
     def test_modes_identical_without_contention(self):
         fs = single_flow_ring8(length=8)
-        base, prop = _both(fs, Periodic(), 3000)
+        base, prop = _both(fs, periodic, 3000)
         assert _summary(base) == _summary(prop)
         assert base.flit_hops == prop.flit_hops
 
     def test_offset_releases_after_idle_gap(self):
         # fast-forward over dead cycles must not disturb timing
         fs = single_flow_ring8(length=8)
-        trace = run(fs, BASE, pattern=_Explicit({0: [100_000, 200_000, 300_000]}),
+        trace = run(fs, BASE, pattern=_explicit({0: [100_000, 200_000, 300_000]}),
                     horizon=400_000, protocol_check=True)
         assert [r.release for r in trace.records] == [100_000, 200_000, 300_000]
         assert all(r.latency == 12 for r in trace.records)
@@ -124,7 +122,7 @@ class TestOldestFirst:
 
     def test_older_injection_wins_younger_deflects_once(self):
         fs = self._pair()
-        pattern = _Explicit({0: [0], 1: [1]})
+        pattern = _explicit({0: [0], 1: [1]})
         base, prop = _both(fs, pattern, 64)
         for trace in (base, prop):
             lat = _latencies(trace)
@@ -136,12 +134,12 @@ class TestOldestFirst:
 
     def test_deflected_packet_ejects_at_same_cycle_in_both_modes(self):
         fs = self._pair()
-        base, prop = _both(fs, _Explicit({0: [0], 1: [1]}), 64)
+        base, prop = _both(fs, _explicit({0: [0], 1: [1]}), 64)
         assert _summary(base) == _summary(prop)
 
     def test_header_only_deflection_reduces_hops(self):
         fs = self._pair()
-        base, prop = _both(fs, _Explicit({0: [0], 1: [1]}), 64)
+        base, prop = _both(fs, _explicit({0: [0], 1: [1]}), 64)
         assert base.flit_hops == 22
         # payload flit skips the loop: saves (L-1)*(r-(|path|-1)) = 1*3 hops
         assert prop.flit_hops == 19
@@ -154,7 +152,7 @@ class TestOldestFirst:
         ]
         fs = Flowset(top, flows)
         assert fs.placement(0).ring == 0 and fs.placement(1).ring == 2
-        base, prop = _both(fs, _Explicit({0: [0], 1: [0]}), 64)
+        base, prop = _both(fs, _explicit({0: [0], 1: [0]}), 64)
         for trace in (base, prop):
             lat = _latencies(trace)
             assert lat[(0, 0)] == 4  # wins the tie
@@ -171,7 +169,7 @@ class TestOldestFirst:
             make_flow(2, 7, 6, length=2),
         ]
         fs = Flowset(top, flows)
-        pattern = _Explicit({0: [0], 1: [1], 2: [3]})
+        pattern = _explicit({0: [0], 1: [1], 2: [3]})
         base, prop = _both(fs, pattern, 64)
         for trace in (base, prop):
             by_flow = {r.flow_id: r for r in trace.records}
@@ -195,7 +193,7 @@ class TestOldestFirst:
             make_flow(2, 7, 6, length=2),
         ]
         fs = Flowset(top, flows)
-        trace = run(fs, BASE, pattern=_Explicit({0: [0], 1: [1], 2: [3]}),
+        trace = run(fs, BASE, pattern=_explicit({0: [0], 1: [1], 2: [3]}),
                     horizon=64, protocol_check=True)
         for rec in trace.records:
             assert rec.deflections <= maxloop_oldest_first(fs, rec.flow_id)
@@ -215,7 +213,7 @@ class TestInjectionQueue:
 
     def test_stream_buffer_then_injection_order(self):
         fs = self._flowset()
-        pattern = _Explicit({0: [0], 1: [0], 2: [0]})
+        pattern = _explicit({0: [0], 1: [0], 2: [0]})
         base, prop = _both(fs, pattern, 128)
         for trace in (base, prop):
             by_flow = {r.flow_id: r for r in trace.records}
@@ -239,7 +237,7 @@ class TestHeaderOnlyPacket:
         top = multi_ring_2x4()
         flows = [make_flow(0, 3, 6, length=1), make_flow(1, 2, 6, length=1)]
         fs = Flowset(top, flows)
-        base, prop = _both(fs, _Explicit({0: [0], 1: [1]}), 64)
+        base, prop = _both(fs, _explicit({0: [0], 1: [1]}), 64)
         assert _summary(base) == _summary(prop)
         assert base.flit_hops == prop.flit_hops == 11
         lat = _latencies(base)
@@ -259,7 +257,7 @@ class TestRetentionViolation:
         return Flowset(top, flows)
 
     def _pattern(self):
-        return _Explicit({0: [0], 1: list(range(1, 40, 4))})
+        return _explicit({0: [0], 1: list(range(1, 40, 4))})
 
     def test_analysis_flags_the_input_unschedulable(self):
         assert not analyze(self._flowset(), BASE).schedulable
@@ -289,7 +287,7 @@ class TestRetentionViolation:
             make_flow(2, 2, 3, length=8),
         ]
         fs = Flowset(top, flows)
-        pattern = _Explicit({0: [0], 1: [1, 4], 2: [2]})
+        pattern = _explicit({0: [0], 1: [1, 4], 2: [2]})
         trace = run(fs, PROP, pattern=pattern, horizon=64, protocol_check=True)
         by_pkt = {(r.flow_id, r.seq): r for r in trace.records}
         assert by_pkt[(2, 0)].inject_start == 3
@@ -327,22 +325,21 @@ class TestReInjectionBuffer:
         ]) == 0
         fs = load_flowset(str(path))
         assert analyze(fs, PROP).schedulable
-        run(fs, BASE, pattern=Synchronous(), horizon=20_000,
+        run(fs, BASE, pattern=synchronous, horizon=20_000,
             protocol_check=True)
-        run(fs, PROP, pattern=Synchronous(), horizon=20_000)
+        run(fs, PROP, pattern=synchronous, horizon=20_000)
 
 
-class _Offsets(ReleasePattern):
+def _offsets(offsets: dict[int, int]):
     """Release 0 of flow i at ``offsets[i]``, release n at offset + nT - J."""
 
-    def __init__(self, offsets: dict[int, int]) -> None:
-        self.offsets = offsets
-
-    def release_times(self, flow, horizon, seed):
-        first = self.offsets[flow.flow_id]
+    def pattern(flow, horizon, seed):
+        first = offsets[flow.flow_id]
         times = [first] + [first + n * flow.period - flow.jitter
                            for n in range(1, horizon // flow.period + 2)]
         return [t for t in times if t < horizon]
+
+    return pattern
 
 
 class TestOldestFirstBudget:
@@ -373,7 +370,7 @@ class TestOldestFirstBudget:
         over = []
         for mode in (BASE, PROP):
             fs = self._flowset()
-            trace = run(fs, mode, pattern=_Offsets({0: 0, 1: 0, 2: 4, 3: 4}),
+            trace = run(fs, mode, pattern=_offsets({0: 0, 1: 0, 2: 4, 3: 4}),
                         horizon=288, protocol_check=True)
             over += [(mode, r.flow_id, r.seq, r.deflections)
                      for r in trace.records
@@ -384,7 +381,7 @@ class TestOldestFirstBudget:
 class TestBoundFlagging:
     def test_delivered_over_bound_flagged(self):
         fs = single_flow_ring8(length=8)
-        pattern = _Explicit({0: [0]})
+        pattern = _explicit({0: [0]})
         ok = run(fs, BASE, pattern=pattern, horizon=30, bounds={0: 12})
         late = run(fs, BASE, pattern=pattern, horizon=30, bounds={0: 11})
         assert ok.bound_violations == 0
@@ -393,7 +390,7 @@ class TestBoundFlagging:
 
     def test_undelivered_within_measurable_window_flagged(self):
         fs = single_flow_ring8(length=8)
-        pattern = _Explicit({0: [0]})
+        pattern = _explicit({0: [0]})
         cut = run(fs, BASE, pattern=pattern, horizon=10, bounds={0: 9})
         assert cut.records[0].eject_end is None
         assert cut.bound_violations == 1
@@ -429,7 +426,7 @@ class TestPreconditions:
     def test_packet_longer_than_ring_without_competitor_runs(self):
         top = multi_ring_2x4()
         fs = Flowset(top, [make_flow(0, 1, 5, length=5)])
-        trace = run(fs, BASE, pattern=_Explicit({0: [0]}), horizon=64,
+        trace = run(fs, BASE, pattern=_explicit({0: [0]}), horizon=64,
                     protocol_check=True)
         assert _latencies(trace)[(0, 0)] == 7  # C = 2 + 5, never deflected
 
@@ -442,27 +439,26 @@ class TestPreconditions:
 class TestReleasePatterns:
     def test_synchronous_pulls_releases_in_by_jitter(self):
         flow = make_flow(0, 1, 7, period=10, jitter=25)
-        times = Synchronous().release_times(flow, 30, "s")
+        times = synchronous(flow, 30, "s")
         assert times == [0, 0, 0, 5, 15, 25]
 
     def test_periodic_offset(self):
         # Releases start at 0, the synchronous critical instant's origin.
         flow = make_flow(0, 1, 7, period=10)
-        assert Periodic().release_times(flow, 30, "s") == [0, 10, 20]
+        assert periodic(flow, 30, "s") == [0, 10, 20]
 
     def test_periodic_with_jitter_windows(self):
         flow = make_flow(0, 1, 7, period=10, jitter=50)
-        pat = PeriodicWithJitter()
-        times = pat.release_times(flow, 400, "seed-a")
-        assert times == pat.release_times(flow, 400, "seed-a")
+        times = periodic_with_jitter(flow, 400, "seed-a")
+        assert times == periodic_with_jitter(flow, 400, "seed-a")
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
         for n, t in enumerate(times):
             assert n * 10 <= t <= n * 10 + 50
 
     def test_sporadic_min_gap_is_period(self):
         flow = make_flow(0, 1, 7, period=10)
-        times = Sporadic().release_times(flow, 500, "seed-b")
-        assert times == Sporadic().release_times(flow, 500, "seed-b")
+        times = sporadic(flow, 500, "seed-b")
+        assert times == sporadic(flow, 500, "seed-b")
         assert all(t2 - t1 >= 10 for t1, t2 in zip(times, times[1:]))
         assert 0 <= times[0] <= 10
 
@@ -549,7 +545,7 @@ class TestBoundConsistency:
             prop_report = analyze(fs, PROP)
             for mode, report in ((BASE, base_report), (PROP, prop_report)):
                 bounds = {fa.flow_id: fa.bound for fa in report.flows}
-                trace = run(fs, mode, pattern=Synchronous(),
+                trace = run(fs, mode, pattern=synchronous,
                             bounds=bounds, protocol_check=True)
                 assert trace.bound_violations == 0, (seed - 1, mode)
                 assert trace.retention_violations == 0
@@ -608,7 +604,7 @@ class TestBusyPeriodReplay:
     """A later run of one flowset object copies the earlier run's busy
     periods without a deflection; it must equal a fresh simulation."""
 
-    PATTERNS = (Synchronous(), Periodic(), PeriodicWithJitter(), Sporadic())
+    PATTERNS = (synchronous, periodic, periodic_with_jitter, sporadic)
 
     def test_replayed_runs_match_fresh_runs(self):
         seen = dict.fromkeys(
@@ -632,7 +628,7 @@ class TestBusyPeriodReplay:
                             fresh[k, mode] = _fields(_run_or_error(
                                 Flowset(top, flows), mode, pattern))
                         assert _fields(out) == fresh[k, mode], (
-                            seed, order, type(pattern).__name__, mode)
+                            seed, order, pattern.__name__, mode)
                         if isinstance(out, str):
                             seen["overflow"] += out.startswith(
                                 "buffer overflow")
@@ -645,7 +641,7 @@ class TestBusyPeriodReplay:
     def test_checked_run_replays_no_unchecked_period(self):
         top, flows = _replay_draw(0)
         fs = Flowset(top, flows)
-        pattern = PeriodicWithJitter()
+        pattern = periodic_with_jitter
         _run_or_error(fs, BASE, pattern, check=False)
         unchecked = sim._PERIODS[fs][2]
         assert unchecked
