@@ -136,13 +136,14 @@ class _Table:
         if row is None:
             at, flows = self.at, fs.flows
             fid = flows[pos].flow_id
-            ring, _, _, path = fs.placement(fid)
+            ring, _, hops = fs.placement(fid)
             no_load = no_load_latency(fs, fid)
-            post, fixed = _fixed(no_load, len(path) - 1, len(fs.topology.rings[ring]),
+            post, fixed = _fixed(no_load, hops, len(fs.topology.rings[ring]),
                                  fs.ring_buffers[ring], fs.maxloops[fid])
             sharers: list[int] = []
             length = 0
-            for g in fs.injected_at(path[0]):
+            # Core k attaches to switch k.
+            for g in fs.injected_at(flows[pos].src):
                 if g != fid:
                     p = at[g]
                     sharers.append(p)
@@ -174,8 +175,8 @@ class _Table:
             slack: list[int] = []
             for f in flows:
                 fid = f.flow_id
-                ring, _, _, path = placement(fid)
-                fixed = _fixed(no_load_latency(fs, fid), len(path) - 1,
+                ring, _, hops = placement(fid)
+                fixed = _fixed(no_load_latency(fs, fid), hops,
                                laps[ring], buffers[ring], loops[fid])[1]
                 floor = fixed + load[f.src] - f.length
                 if floor > f.deadline:

@@ -13,10 +13,9 @@ the two protocols for each placement.
 """
 from __future__ import annotations
 
+import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from statistics import fmean
 from typing import (Callable, Iterator, NamedTuple, Sequence, get_args,
                     get_origin, get_type_hints)
 
@@ -267,6 +266,8 @@ def schedulability_sweep(
     if jobs <= 1:
         results = [_evaluate_point(*t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_point, *zip(*tasks)))
     return [point for chunk in results for point in chunk]
@@ -341,9 +342,10 @@ def improvement_report(
                 ImprovementRow(mapping_id, fb.flow_id, r_base, r_prop, pct)
             )
         if gains:
-            mapping_means.append(fmean(gains))
+            mapping_means.append(math.fsum(gains) / len(gains))
     return ImprovementReport(
         rows=tuple(rows),
         max_improvement_pct=best,
-        mean_improvement_pct=fmean(mapping_means) if mapping_means else 0.0,
+        mean_improvement_pct=(math.fsum(mapping_means) / len(mapping_means)
+                              if mapping_means else 0.0),
     )

@@ -95,8 +95,7 @@ def _fail(path: str, field: str, problem: str, line: int | None) -> None:
 
 
 def _get_int(obj: Mapping[str, Any], field: str, path: str, text: str,
-             where: tuple[str | int, ...] = (),
-             minimum: int | None = None) -> int:
+             where: tuple[str | int, ...] = (), *, minimum: int) -> int:
     """``obj[field]`` as an int; ``where`` locates ``obj`` in the file."""
     if field not in obj:
         _fail(path, field, "is missing", None)
@@ -105,7 +104,7 @@ def _get_int(obj: Mapping[str, Any], field: str, path: str, text: str,
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, field, f"must be an integer, got {value!r}",
               _line_of(text, *where, field))
-    if minimum is not None and value < minimum:
+    if value < minimum:
         _fail(path, field, f"must be >= {minimum}, got {value}",
               _line_of(text, *where, field))
     return value

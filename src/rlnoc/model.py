@@ -18,14 +18,14 @@ RingId = int
 
 
 class Route(NamedTuple):
-    """How a packet gets from one switch to another: the ring, the two
-    switches' positions on it, and the switches traversed from source to
-    destination, both included.  A flow's route is its placement."""
+    """How a packet gets from one switch to another: the ring, the source
+    switch's position on it, and the ring links crossed.  The path is the
+    hops + 1 switches ``ring.switches[(src_pos + k) % len(ring)]`` for k in
+    0..hops.  A flow's route is its placement."""
 
     ring: RingId
     src_pos: int
-    dst_pos: int
-    path: tuple[SwitchId, ...]
+    hops: int
 
 
 class ModelError(ValueError):
@@ -52,33 +52,29 @@ class Ring:
         return len(self.switches)
 
 
-@dataclass(frozen=True)
 class NetworkTopology:
     """A switch grid plus its ring placement."""
 
-    rows: int
-    cols: int
-    rings: tuple[Ring, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows: int, cols: int, rings: tuple[Ring, ...]) -> None:
+        if rows < 1 or cols < 1:
             raise ModelError("grid dimensions must be positive")
-        n = self.rows * self.cols
+        n = rows * cols
         # switch -> (ring, position) of every ring through it, in ring id order
         through: dict[SwitchId, list[tuple[RingId, int]]] = {s: [] for s in range(n)}
-        for i, ring in enumerate(self.rings):
+        for i, ring in enumerate(rings):
             if ring.ring_id != i:
                 raise ModelError(f"ring at index {i} has ring_id {ring.ring_id}")
             for pos, s in enumerate(ring.switches):
                 if not 0 <= s < n:
                     raise ModelError(
-                        f"ring {i}: switch {s} outside {self.rows}x{self.cols} grid"
+                        f"ring {i}: switch {s} outside {rows}x{cols} grid"
                     )
                 through[s].append((i, pos))
-        object.__setattr__(self, "_through", through)
-        object.__setattr__(self, "_walks", [r.switches * 2 for r in self.rings])
-        object.__setattr__(self, "_nearest", {})
-        object.__setattr__(self, "_routes", {})
+        self.rows = rows
+        self.cols = cols
+        self.rings = rings
+        self._through = through
+        self._routes: dict[SwitchId, dict[SwitchId, Route]] = {}
 
     @property
     def n_switches(self) -> int:
@@ -88,44 +84,22 @@ class NetworkTopology:
         """The route on the ring with fewest hops from src to dst, lower ring
         id first, or None if no ring passes both.
 
-        The table is filled one source at a time: the first lookup from a
-        source walks each ring through it once and keeps, per destination,
-        its nearest ring as (hops, ring, source position).  A pair's route is
-        built on its own first lookup, its path sliced from the ring's
-        switches written out twice.  Every flowset built on this topology
-        shares the table.
+        The table holds one dict per source, filled on its first lookup:
+        each ring through the source is walked once, in ring id order, and
+        only a strictly shorter route replaces the one kept for a
+        destination.  ``src`` itself is 0 hops away on the lowest ring
+        through it.  Every flowset built on this topology shares the table.
         """
-        routes = self._routes  # type: ignore[attr-defined]
-        try:
-            return routes[src, dst]
-        except KeyError:
-            pass
-        nearest = self._nearest.get(src)  # type: ignore[attr-defined]
-        if nearest is None:
-            nearest = self._nearest[src] = self._fill(src)  # type: ignore[attr-defined]
-        best = nearest.get(dst)
-        route = None
-        if best is not None:
-            hops, ring, i = best
-            walk = self._walks[ring]  # type: ignore[attr-defined]
-            route = Route(ring, i, (i + hops) % (len(walk) // 2),
-                          walk[i:i + hops + 1])
-        routes[src, dst] = route
-        return route
-
-    def _fill(self, src: SwitchId) -> dict[SwitchId, tuple[int, RingId, int]]:
-        """Each destination's nearest ring from ``src``: (hops, ring, source
-        position), the lower ring id winning a tie.  ``src`` itself is 0 hops
-        away on the lowest ring through it."""
-        nearest: dict[SwitchId, tuple[int, RingId, int]] = {}
-        walks = self._walks  # type: ignore[attr-defined]
-        for ring, i in self._through[src]:  # type: ignore[attr-defined]
-            walk = walks[ring]
-            for hops, dst in enumerate(walk[i:i + len(walk) // 2]):
-                best = nearest.get(dst)
-                if best is None or hops < best[0]:
-                    nearest[dst] = (hops, ring, i)
-        return nearest
+        routes = self._routes.get(src)
+        if routes is None:
+            routes = self._routes[src] = {}
+            for ring, i in self._through[src]:
+                switches = self.rings[ring].switches
+                for hops, switch in enumerate(switches[i:] + switches[:i]):
+                    best = routes.get(switch)
+                    if best is None or hops < best.hops:
+                        routes[switch] = Route(ring, i, hops)
+        return routes.get(dst)
 
 
 def _perimeter(r0: int, c0: int, r1: int, c1: int, cols: int) -> tuple[SwitchId, ...]:
@@ -238,8 +212,8 @@ class Flowset:
 
     ``flows`` holds the given ``Flow`` objects unchanged; everything derived
     from them lives here.  Construction builds an index of the flows in one
-    pass: each flow's route (its ring, the positions of its switches on it
-    and its path, read from the topology's route table), flows bucketed by
+    pass: each flow's route (its ring, its source position on it and its
+    hop count, read from the topology's route table), flows bucketed by
     source switch and by ring, per-ring buffer sizes (the largest packet on
     each ring), and the Oldest-First competitor count of each flow.  The
     first flow in flow order with a duplicate id, a core outside the grid or
@@ -318,12 +292,9 @@ class Flowset:
     def __len__(self) -> int:
         return len(self.flows)
 
-    def flow(self, flow_id: int) -> Flow:
-        return self._by_id[flow_id]
-
     def placement(self, flow_id: int) -> Route:
-        """The flow's route: its ring, the ring positions of its source and
-        destination switches, and its path."""
+        """The flow's route: its ring, the ring position of its source
+        switch, and its hop count."""
         return self._place[flow_id]
 
     def injected_at(self, switch: SwitchId) -> Sequence[int]:
@@ -352,16 +323,16 @@ class Flowset:
         others cross it only while looping after a deflection.
         """
         place = self._place
-        ring, p, _, _ = place[flow_id]
+        ring, p, _ = place[flow_id]
         n = len(self.topology.rings[ring])
         upstream: list[int] = []
         deflected: list[int] = []
         for g in self._by_ring[ring]:
             if g == flow_id:
                 continue
-            # g's path covers ring positions i, i + 1, ..., j (mod n).
-            _, i, j, _ = place[g]
-            if (p - i) % n <= (j - i) % n:
+            # g's path covers ring positions i, i + 1, ..., i + hops (mod n).
+            _, i, hops = place[g]
+            if (p - i) % n <= hops:
                 upstream.append(g)
             else:
                 deflected.append(g)
@@ -377,11 +348,11 @@ class Flowset:
 def no_load_latency(flowset: Flowset, flow_id: int) -> int:
     """Cycles to deliver one packet on an otherwise idle network.
 
-    The header crosses the injection link, the ring links along the path,
-    and the ejection link: len(path) + 1 link crossings.  The remaining
+    The header crosses the injection link, the hops ring links along the
+    path, and the ejection link: hops + 2 link crossings.  The remaining
     length - 1 flits follow in consecutive cycles.
     """
-    return len(flowset._place[flow_id].path) + flowset._by_id[flow_id].length
+    return flowset._place[flow_id].hops + 1 + flowset._by_id[flow_id].length
 
 
 def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:

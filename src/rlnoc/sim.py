@@ -251,9 +251,9 @@ class _Simulator:
         self.flow_facts: dict[int, tuple[int, int, int, int]] = {}
         for f in flowset:
             fid = f.flow_id
-            ring, src_pos, _, path = flowset.placement(fid)
+            ring, src_pos, _ = flowset.placement(fid)
             self.flow_facts[fid] = (
-                f.length, self.ring_base[ring] + src_pos, path[-1], ring
+                f.length, self.ring_base[ring] + src_pos, f.dst, ring
             )
             # A deflected packet longer than its ring would catch its own
             # tail (two of its flits on one link).  Deflection requires a

@@ -44,13 +44,14 @@ def test_1_analytic_dominance():
         combos += 1
         rb = analyze(fs, BASE)
         rp = analyze(fs, PROP)
+        by_id = {f.flow_id: f for f in fs}
         for fb, fp in zip(rb.flows, rp.flows):
             if fb.bound is None:
                 continue
             assert fp.bound is not None, (fb.flow_id, budget)
             assert fp.bound <= fb.bound, (fb.flow_id, budget)
             _, deflected = fs.split_ring_peers(fb.flow_id)
-            wide_deflector = any(fs.flow(j).length > 1 for j in deflected)
+            wide_deflector = any(by_id[j].length > 1 for j in deflected)
             if budget >= 1 and wide_deflector:
                 assert fp.bound < fb.bound, (fb.flow_id, budget)
                 strict += 1
@@ -84,14 +85,15 @@ def _scan_fixed_point(fs, fid, mode):
     """Smallest I with rhs(I) == I, found by trying every value in order."""
     peers = fs.interference_sets(fid)
     upstream, _ = fs.split_ring_peers(fid)
+    by_id = {f.flow_id: f for f in fs}
 
     def rhs(value):
         total = 1
         for j in upstream:
-            g = fs.flow(j)
+            g = by_id[j]
             total += -(-(value + g.jitter) // g.period) * g.length
         for j in peers:
-            g = fs.flow(j)
+            g = by_id[j]
             charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * -(-(value + g.jitter) // g.period) * charge
         return total
@@ -352,8 +354,9 @@ def test_8_traffic_reduction():
     for fs, _ in _schedulable_corpus(4, 40):
         base = run(fs, BASE, pattern=synchronous, horizon=50_000)
         prop = run(_twin(fs), PROP, pattern=synchronous, horizon=50_000)
+        by_id = {f.flow_id: f for f in fs}
         wide_deflected = any(
-            r.deflections > 0 and fs.flow(r.flow_id).length > 1
+            r.deflections > 0 and by_id[r.flow_id].length > 1
             for r in prop.records
         )
         if wide_deflected:

@@ -78,14 +78,15 @@ def _scan_idle(fs, fid, mode, jmap=None):
     peers = fs.interference_sets(fid)
     upstream, _ = fs.split_ring_peers(fid)
     jmap = jmap or {}
+    by_id = {f.flow_id: f for f in fs}
 
     def rhs(value: int) -> int:
         total = 1
         for j in upstream:
-            g = fs.flow(j)
+            g = by_id[j]
             total += _ceil(value + g.jitter + jmap.get(j, 0), g.period) * g.length
         for j in peers:
-            g = fs.flow(j)
+            g = by_id[j]
             charge = g.length if mode is BASE or j in upstream else 1
             total += fs.maxloops[j] * _ceil(value + g.jitter + jmap.get(j, 0), g.period) * charge
         return total
@@ -331,14 +332,15 @@ def _floor(fs: Flowset, fid: int) -> int:
     """The bound with every idle wait at its least value, 1.  The injection
     sharers are found by a scan of every flow's source core, and the
     post-injection term is a full buffer drain per hop and per lap."""
-    ring_id, _, _, path = fs.placement(fid)
+    ring_id, _, hops = fs.placement(fid)
     lap = len(fs.topology.rings[ring_id])
     own = no_load_latency(fs, fid) + lap * fs.maxloops[fid]
-    post = (len(path) - 1 + lap * fs.maxloops[fid]) * fs.ring_buffers[ring_id]
-    src = fs.flow(fid).src
+    post = (hops + lap * fs.maxloops[fid]) * fs.ring_buffers[ring_id]
+    by_id = {f.flow_id: f for f in fs}
+    src = by_id[fid].src
     sharers = [g.flow_id for g in fs if g.src == src and g.flow_id != fid]
     return (own + post + 1
-            + sum(fs.flow(g).length + 1 for g in sharers))
+            + sum(by_id[g].length + 1 for g in sharers))
 
 
 def _bounds(report: AnalysisReport) -> dict[int, int | None]:

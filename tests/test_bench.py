@@ -5,6 +5,7 @@ budget-0 verdict); ``test_counts_match_brute_force`` recomputes every count
 with full ``analyze`` runs and no shortcuts, so any bias they introduced
 would show up as a count mismatch.
 """
+import concurrent.futures
 import random
 from dataclasses import replace
 
@@ -262,7 +263,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(rlnoc.bench, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         assert schedulability_sweep(TINY, jobs=10**6) == result
         n_points = len(list(TINY.points()))
         assert sizes == [n_points]

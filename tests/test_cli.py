@@ -568,3 +568,16 @@ class TestModuleEntry:
         assert done.returncode == 2
         assert done.stderr.startswith("error: missing.json: ")
         assert not (tmp_path / "report.csv").exists()
+
+    def test_import_loads_neither_pool_nor_statistics(self, tmp_path):
+        # Each command's start-up pays for what importing the front end
+        # loads: the pool is imported only to run one, and means use fsum.
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        probe = ("import sys, rlnoc.cli; print([m for m in "
+                 "('concurrent.futures', 'statistics') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

@@ -37,6 +37,14 @@ def _walk(ring: Ring, src: int, dst: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def _path(top: NetworkTopology, route) -> tuple[int, ...]:
+    # The switches a route passes, derived from its ring, source position
+    # and hop count.
+    ring, src_pos, hops = route
+    switches = top.rings[ring].switches
+    return tuple(switches[(src_pos + k) % len(switches)] for k in range(hops + 1))
+
+
 def _pairs_covered(top: NetworkTopology) -> bool:
     # Independent oracle: enumerate every ordered switch pair.
     for a in range(top.n_switches):
@@ -94,19 +102,22 @@ class TestPath:
     def test_four_switch_arc_on_perimeter_ring(self):
         fs = single_flow_ring8()
         # src core 1 sits second on the ring, dst core 7 sits fourth.
-        assert fs.placement(0).path == (1, 2, 3, 7)
-        assert len(fs.placement(0).path) == 4
+        assert fs.placement(0) == (0, 1, 3)
+        assert _path(fs.topology, fs.placement(0)) == (1, 2, 3, 7)
 
     def test_adjacent_switches(self):
         top = perimeter_ring8()
         fs = Flowset(top, [make_flow(0, 1, 2)])
-        assert fs.placement(0).path == (1, 2)
+        assert fs.placement(0) == (0, 1, 1)
+        assert _path(top, fs.placement(0)) == (1, 2)
 
     def test_wraparound_matches_step_oracle(self):
         top = perimeter_ring8()
         ring = top.rings[0]
         fs = Flowset(top, [make_flow(0, 6, 0)])  # crosses the cyclic seam
-        assert fs.placement(0).path == _walk(ring, 6, 0)
+        walk = _walk(ring, 6, 0)
+        assert fs.placement(0) == (0, ring.switches.index(6), len(walk) - 1)
+        assert _path(top, fs.placement(0)) == walk
 
     @given(
         src=st.integers(0, 7),
@@ -115,10 +126,10 @@ class TestPath:
     def test_path_agrees_with_step_oracle_everywhere(self, src, dst):
         top = perimeter_ring8()
         ring = top.rings[0]
-        if src == dst:
-            assert top.route(src, dst).path == (src,)
-        else:
-            assert top.route(src, dst).path == _walk(ring, src, dst)
+        walk = (src,) if src == dst else _walk(ring, src, dst)
+        route = top.route(src, dst)
+        assert route == (0, ring.switches.index(src), len(walk) - 1)
+        assert _path(top, route) == walk
 
 
 class TestNoLoadLatency:
@@ -145,7 +156,7 @@ class TestNoLoadLatency:
         fs = Flowset(perimeter_ring8(), [make_flow(0, src, dst, length=length)])
         c = no_load_latency(fs, 0)
         assert c >= length + 2
-        assert c == len(fs.placement(0).path) + 1 + length - 1
+        assert c == len(_path(fs.topology, fs.placement(0))) + 1 + length - 1
 
 
 class TestInterferenceSets:
@@ -324,9 +335,9 @@ class TestFlowsetBuild:
             ring = min(walks, key=lambda r: (len(walks[r]), r))
             switches = top.rings[ring].switches
             assert fs.placement(i).ring == ring
-            assert fs.placement(i).path == walks[ring]
+            assert _path(top, fs.placement(i)) == walks[ring]
             assert top.route(s, d) == (
-                ring, switches.index(s), switches.index(d), walks[ring]
+                ring, switches.index(s), len(walks[ring]) - 1
             )
 
     @pytest.mark.parametrize("n", range(2, 10))
@@ -343,20 +354,25 @@ class TestFlowsetBuild:
                 ring = min(walks, key=lambda r: (len(walks[r]), r))
                 switches = top.rings[ring].switches
                 assert route == (
-                    ring, switches.index(s), switches.index(d), walks[ring]
+                    ring, switches.index(s), len(walks[ring]) - 1
                 ), (s, d)
+                assert _path(top, route) == walks[ring], (s, d)
 
     def test_route_to_self_and_unconnected_pair_after_fill(self):
         top = NetworkTopology(rows=2, cols=4, rings=(
             Ring(0, (0, 1, 2, 3)), Ring(1, (3, 2, 1, 0)), Ring(2, (4, 5, 6, 7)),
         ))
         # The first lookup from switch 1 fills its whole source.
-        assert top.route(1, 3) == (0, 1, 3, (1, 2, 3))
-        assert top.route(1, 0) == (1, 2, 3, (1, 0))
-        assert top.route(1, 1) == (0, 1, 1, (1,))
+        assert top.route(1, 3) == (0, 1, 2)
+        assert _path(top, top.route(1, 3)) == (1, 2, 3)
+        assert top.route(1, 0) == (1, 2, 1)
+        assert _path(top, top.route(1, 0)) == (1, 0)
+        assert top.route(1, 1) == (0, 1, 0)
+        assert _path(top, top.route(1, 1)) == (1,)
         assert top.route(1, 6) is None
         assert top.route(6, 1) is None
-        assert top.route(6, 6) == (2, 2, 2, (6,))
+        assert top.route(6, 6) == (2, 2, 0)
+        assert _path(top, top.route(6, 6)) == (6,)
 
     def test_unconnected_pair_names_the_flow(self):
         top = NetworkTopology(rows=2, cols=4, rings=(
@@ -416,7 +432,7 @@ def test_path_endpoints_and_length_on_generated_grids(data):
     src = data.draw(st.sampled_from(ring.switches))
     dst = data.draw(st.sampled_from([s for s in ring.switches if s != src]))
     route = top.route(src, dst)
-    p = route.path
+    p = _path(top, route)
     assert p[0] == src and p[-1] == dst
     assert 2 <= len(p) <= len(top.rings[route.ring])
     assert p == _walk(top.rings[route.ring], src, dst)
@@ -508,9 +524,9 @@ class TestFlowsetIndex:
             ring = rings[f.flow_id]
             switches = top.rings[ring].switches
             assert fs.placement(f.flow_id) == (
-                ring, switches.index(f.src), switches.index(f.dst),
-                paths[f.flow_id]
+                ring, switches.index(f.src), len(paths[f.flow_id]) - 1
             )
+            assert _path(top, fs.placement(f.flow_id)) == paths[f.flow_id]
             expected = f.maxloop
             if expected is None:
                 expected = competitors[f.flow_id]
