@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import (Callable, Iterator, NamedTuple, Sequence, get_args,
-                    get_origin, get_type_hints)
+from typing import Iterator, NamedTuple, Sequence, get_args, get_origin, get_type_hints
 
 from .analysis import ProtocolMode, analyze, quick_verdict
-from .model import Flow, Flowset, ModelError, NetworkTopology, generate_rlrec
+from .model import Flow, Flowset, ModelError, NetworkTopology, generate_rlrec, sampler
 
 _MODES = (ProtocolMode.BASELINE, ProtocolMode.PROPOSED)
 
@@ -136,27 +135,6 @@ class SweepPoint(NamedTuple):
         return self.schedulable_count / self.total if self.total else 0.0
 
 
-def _sampler(rng: random.Random) -> Callable[[int], int]:
-    """``below(n)``: a uniform draw from range(n), for n >= 1.
-
-    It runs the rejection loop of ``Random.randrange(n)`` on Python
-    3.10-3.13 (draw n.bit_length() bits until the value is below n), so it
-    takes the same bits from ``rng`` in the same order and returns the same
-    value, and ``randint(lo, hi)`` is ``lo + below(hi - lo + 1)``.  With
-    n = 0 the loop would never end, as ``getrandbits(0)`` is 0.
-    """
-    getrandbits = rng.getrandbits
-
-    def below(n: int) -> int:
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return below
-
-
 def generate_flowset(
     config: SweepConfig,
     topology: NetworkTopology,
@@ -168,9 +146,9 @@ def generate_flowset(
 
     Endpoint pairs are drawn uniformly over ordered distinct core pairs,
     independently per flow, so pairs repeat once the flow count passes the
-    number of available pairs.  Every value is drawn through ``_sampler``,
-    with the same bits from ``rng`` as ``rng.randint`` and
-    ``rng.randrange`` would take.
+    number of available pairs.  Every value is drawn through
+    ``model.sampler``, with the same bits from ``rng`` as ``rng.randint``
+    and ``rng.randrange`` would take.
     """
     n_cores = topology.n_switches
     lo, hi = packet_range
@@ -182,7 +160,7 @@ def generate_flowset(
     if n_flows and (hi < lo or n_cores < 2):
         raise ValueError(f"cannot draw flows of {lo}-{hi} flits "
                          f"between {n_cores} cores")
-    below = _sampler(rng)
+    below = sampler(rng.getrandbits)
     periods, lengths = phi - plo + 1, hi - lo + 1
     flows = []
     for i in range(n_flows):

@@ -14,7 +14,7 @@ import json
 import os
 import re
 from importlib import resources
-from typing import IO, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .analysis import AnalysisReport, ProtocolMode
 from .bench import SweepConfig
@@ -248,6 +248,14 @@ def load_sweep_config(path: str) -> SweepConfig:
 _BOOL = ("false", "true")  # a bool column's text, indexed by the bool
 
 
+def _write(target: str | IO[str], emit: Callable[[IO[str]], Any]) -> None:
+    if isinstance(target, str):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
+    else:
+        emit(target)
+
+
 def _write_csv(target: str | IO[str], header: Sequence[str],
                rows: Iterable[Sequence[Any]]) -> None:
     """Write the rows as given; the csv module writes None as an empty
@@ -257,11 +265,7 @@ def _write_csv(target: str | IO[str], header: Sequence[str],
         writer.writerow(header)
         writer.writerows(rows)
 
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-    else:
-        emit(target)
+    _write(target, emit)
 
 
 def write_report_csv(target: str | IO[str],
@@ -286,12 +290,21 @@ def write_terms_csv(target: str | IO[str],
 
 
 def write_trace_csv(target: str | IO[str], trace: SimTrace) -> None:
-    rows = [
-        (r.flow_id, r.seq, r.release, r.inject_start, r.eject_end,
-         r.deflections, r.latency, _BOOL[r.violated])
-        for r in trace.records
-    ]
-    _write_csv(target, TRACE_COLUMNS, rows)
+    """Formats what ``_write_csv`` would: no int, empty or bool is quoted."""
+    flags = [_BOOL[False]] * len(trace.records)
+    for i in trace.violated:
+        flags[i] = _BOOL[True]
+    lines = [",".join(TRACE_COLUMNS)]
+    for r, flag in zip(trace.records, flags):
+        end = r.eject_end
+        if end is None:
+            at = "" if r.inject_start is None else r.inject_start
+            lines.append(f"{r.flow_id},{r.seq},{r.release},{at},,"
+                         f"{r.deflections},,{flag}")
+        else:
+            lines.append(f"{r.flow_id},{r.seq},{r.release},{r.inject_start},"
+                         f"{end},{r.deflections},{end - r.release + 1},{flag}")
+    _write(target, lambda fh: fh.write("\r\n".join(lines) + "\r\n"))
 
 
 def write_trace_summary_csv(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 CoreId = int
 SwitchId = int
@@ -366,3 +366,18 @@ def maxloop_oldest_first(flowset: Flowset, flow_id: int) -> int:
     and holds even where the input fixed the flow's maxloop.
     """
     return flowset._competitors[flow_id]
+
+
+def sampler(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
+    """``below(n)``, a uniform draw from range(n) for n >= 1.  It runs the
+    rejection loop of ``Random.randrange(n)`` on Python 3.10-3.13
+    (n.bit_length() bits until the value is below n), so it takes the same
+    bits and value, and ``randint(lo, hi)`` is ``lo + below(hi - lo + 1)``."""
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below

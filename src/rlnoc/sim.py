@@ -31,9 +31,9 @@ reservations: a deflected packet leaves a pending entry at its destination,
 and younger headers defer to it even when the link is idle.  Ties break by
 ring id, then flow id.
 
-The modes differ only after a deflection, so a later run of the same
-``Flowset`` object on the same releases copies the busy periods without one
-from the earlier run instead of simulating them (see ``_Simulator.run``).
+A busy period depends only on its releases relative to its start, so a
+period that a ``Flowset`` object's memo has logged is copied, not simulated
+again (see ``_Simulator.run``).
 """
 from __future__ import annotations
 
@@ -42,39 +42,29 @@ import weakref
 from typing import Callable, Mapping, NamedTuple
 
 from .analysis import ProtocolMode
-from .model import Flow, Flowset, ModelError, maxloop_oldest_first
+from .model import Flow, Flowset, ModelError, maxloop_oldest_first, sampler
 
 class SimInvariantError(RuntimeError):
     """Internal consistency violation; indicates a simulator bug."""
 
 
 class PacketRecord:
-    """Lifecycle of one packet. ``eject_end`` stays None if undelivered."""
+    """Lifecycle of one packet, fixed once its busy period ends.
+    ``eject_end`` stays None if undelivered."""
 
-    __slots__ = (
-        "flow_id",
-        "seq",
-        "release",
-        "inject_start",
-        "eject_end",
-        "deflections",
-        "dropped",
-        "violated",
-    )
+    __slots__ = ("flow_id", "seq", "release", "inject_start", "eject_end",
+                 "deflections", "dropped")
 
-    def __init__(self, flow_id: int, seq: int, release: int) -> None:
+    def __init__(self, flow_id: int, seq: int, release: int,
+                 inject_start: int | None = None, eject_end: int | None = None,
+                 deflections: int = 0, dropped: bool = False) -> None:
         self.flow_id = flow_id
         self.seq = seq
         self.release = release
-        self.inject_start: int | None = None
-        self.eject_end: int | None = None
-        self.deflections = 0
-        self.dropped = False
-        self.violated = False
-
-    @property
-    def delivered(self) -> bool:
-        return self.eject_end is not None
+        self.inject_start = inject_start
+        self.eject_end = eject_end
+        self.deflections = deflections
+        self.dropped = dropped
 
     @property
     def latency(self) -> int | None:
@@ -91,19 +81,16 @@ class SimTrace(NamedTuple):
     flit_hops: int
     retention_violations: int
     bound_violations: int
+    violated: tuple[int, ...]  # positions in ``records`` over their bound
+    tally: Mapping[int, tuple[int, int, int]]  # read through ``per_flow``
 
     def per_flow(self) -> dict[int, tuple[int, int, int]]:
         """(packets, delivered, bound violations) per flow, by flow id."""
-        tally: dict[int, list[int]] = {}
-        for r in self.records:
-            row = tally.setdefault(r.flow_id, [0, 0, 0])
-            row[0] += 1
-            row[1] += r.delivered
-            row[2] += r.violated
-        return {fid: tuple(tally[fid]) for fid in sorted(tally)}
+        return dict(self.tally)
 
 
-# A flow's non-decreasing release times below the horizon, from a seed.
+# A flow's non-decreasing release times below the horizon: a pure function
+# of (flow, horizon, seed), as a run draws each schedule once per flowset.
 ReleasePattern = Callable[[Flow, int, str], list[int]]
 
 
@@ -128,13 +115,15 @@ def periodic(flow: Flow, horizon: int, seed: str) -> list[int]:
     return list(range(0, horizon, flow.period))
 
 
-# A flow's stream is named "seed:Name:flow id"; recorded traces pin the draws.
+# A flow's stream is named "seed:Name:flow id"; recorded traces pin the
+# draws, taken through ``sampler`` with the bits ``randint`` would take.
 def periodic_with_jitter(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Nominal period boundaries, each release delayed by uniform [0, J]."""
     rng = random.Random(f"{seed}:PeriodicWithJitter:{flow.flow_id}")
+    below, width = sampler(rng.getrandbits), flow.jitter + 1
     out, n, last = [], 0, 0
     while True:
-        t = n * flow.period + rng.randint(0, flow.jitter)
+        t = n * flow.period + below(width)
         t = max(t, last)  # keep releases ordered even with large jitter
         if t >= horizon:
             return out
@@ -146,11 +135,12 @@ def periodic_with_jitter(flow: Flow, horizon: int, seed: str) -> list[int]:
 def sporadic(flow: Flow, horizon: int, seed: str) -> list[int]:
     """Consecutive releases separated by at least one period."""
     rng = random.Random(f"{seed}:Sporadic:{flow.flow_id}")
+    below, width = sampler(rng.getrandbits), flow.period + 1
     out = []
-    t = rng.randint(0, flow.period)
+    t = below(width)
     while t < horizon:
         out.append(t)
-        t += flow.period + rng.randint(0, flow.period)
+        t += flow.period + below(width)
     return out
 
 
@@ -165,13 +155,15 @@ PATTERNS: dict[str, ReleasePattern] = {
 HORIZON_CAP = 2_000_000
 
 
-# flowset -> (schedule, protocol_check, log) of its last run; the log maps a
-# deflection-free busy period's start to (end, its records, its flit-hops).
+# flowset -> [(pattern, horizon, seed), schedule, memo] of its last run.  A
+# memo node maps (flow id, release - start) to the next node, and whether the
+# mode is proposed to the period its path spells in that mode (in both if it
+# has no deflection): (length, records, hops, drops, checked, schedule, start).
 _PERIODS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def default_horizon(flowset: Flowset) -> int:
-    """Twice the largest period per flow, bounded by ``HORIZON_CAP``."""
+    """2 x the largest period x the flow count, at most ``HORIZON_CAP``."""
     if not len(flowset):
         return 1
     return min(HORIZON_CAP, 2 * max(f.period for f in flowset) * len(flowset))
@@ -306,28 +298,28 @@ class _Simulator:
         link or in a buffer; no claim, queue, ejection or discard is open;
         every ``pending`` set is empty, since a deflected packet leaves it
         when granted or dropped; every ``inj_busy_until`` is past; and
-        ``last_released`` is read only for packets in flight.  The modes
-        differ only in the deflection branch, and Oldest-First keys hold
-        absolute injection cycles, so a period without a deflection runs
-        step for step alike in either mode and either order of two runs.
-        Each run logs those periods in ``_PERIODS``; a later run of the same
-        flowset object with an equal schedule copies each one it reaches if
-        that run checked at least as much.  ``protocol_check`` raises on a
-        reservation left at an idle point.
+        ``last_released`` is read only for packets in flight.  No step reads
+        an absolute cycle: Oldest-First compares injection cycles only
+        within a period.  So a period is fixed by its (flow id, release -
+        start) list, and without a deflection it runs alike in either mode.
+        Each period that ends at an idle point (not at the horizon) is
+        logged in ``_PERIODS``; a run copies, shifted, each one whose list
+        the coming releases spell, when the next release comes at or after
+        its end and it was checked or this run is not.  ``protocol_check``
+        raises on a reservation left at an idle point.
         """
-        schedule: list[tuple[int, int, int]] = []  # (time, flow_id, seq)
-        for f in self.fs:
-            for seq, t in enumerate(pattern(f, horizon, seed)):
-                schedule.append((t, f.flow_id, seq))
-        schedule.sort()
-        schedule.append((horizon, -1, -1))  # never released
+        memo = _PERIODS.setdefault(self.fs, [None, None, {}])
+        if memo[0] != (pattern, horizon, seed):
+            schedule: list[tuple] = []  # (time, flow_id, seq)
+            for f in self.fs:
+                for seq, t in enumerate(pattern(f, horizon, seed)):
+                    schedule.append((t, f.flow_id, seq))
+            schedule.sort()
+            schedule.append((horizon, None, None))  # never released
+            memo[:2] = (pattern, horizon, seed), schedule
+        _, schedule, trie = memo
         ptr = 0
         check = self.protocol_check
-        prior = _PERIODS.get(self.fs)
-        replay = (prior[2] if prior and prior[0] == schedule
-                  and (prior[1] or not check) else {})
-        log: dict[int, tuple[int, list[PacketRecord], int]] = {}
-        _PERIODS[self.fs] = (schedule, check, log)
 
         port_switch, next_port = self.port_switch, self.next_port
         port_cap, flow_facts = self.port_cap, self.flow_facts
@@ -360,22 +352,50 @@ class _Simulator:
                     or queues):
                 if check and any(pending.values()):
                     raise SimInvariantError("reservation left on idle network")
-                if start >= 0 and not deflected:
-                    log[start] = (cycle, records[first:], hops - hops0)
-                cycle = max(cycle, schedule[ptr][0])
-                while cycle in replay:
-                    end, done, period_hops = log[cycle] = replay[cycle]
+                if start >= 0:
+                    done = records[first:]
+                    node = trie
                     for rec in done:
-                        copy = PacketRecord(rec.flow_id, rec.seq, rec.release)
-                        copy.inject_start = rec.inject_start
-                        copy.eject_end = rec.eject_end
-                        records.append(copy)
-                    hops += period_hops
-                    ptr += len(done)
-                    cycle = max(end, schedule[ptr][0])
+                        node = node.setdefault(
+                            (rec.flow_id, rec.release - start), {})
+                    entry = (cycle - start, done, hops - hops0,
+                             drops - drops0, check, schedule, start)
+                    for m in (proposed,) if deflected else (False, True):
+                        node[m] = entry
+                cycle = max(cycle, schedule[ptr][0])
+                while cycle < horizon:
+                    # Walk the memo along the releases from here; no key
+                    # holds the sentinel's flow id None.
+                    node, k = trie, ptr
+                    while node := node.get(
+                            (schedule[k][1], schedule[k][0] - cycle)):
+                        k += 1
+                        hit = node.get(proposed)
+                        if (hit and (hit[4] or not check)
+                                and schedule[k][0] >= cycle + hit[0]):
+                            break
+                    else:
+                        break
+                    length, done, dhops, ddrops, _, logged, at = hit
+                    if logged is schedule and at == cycle:
+                        records.extend(done)
+                    else:
+                        shift = cycle - at
+                        for rec, (_, _, seq) in zip(done, schedule[ptr:k]):
+                            end = rec.eject_end  # None only if dropped
+                            records.append(PacketRecord(
+                                rec.flow_id, seq, rec.release + shift,
+                                rec.inject_start + shift,
+                                None if end is None else end + shift,
+                                rec.deflections, rec.dropped))
+                    hops += dhops
+                    drops += ddrops
+                    ptr = k
+                    cycle = max(cycle + length, schedule[ptr][0])
                 if cycle >= horizon:
                     break
-                start, first, hops0, deflected = cycle, len(records), hops, False
+                start, first, deflected = cycle, len(records), False
+                hops0, drops0 = hops, drops
             while schedule[ptr][0] == cycle:
                 _, fid, seq = schedule[ptr]
                 ptr += 1
@@ -530,32 +550,34 @@ class _Simulator:
                         f"{consumed} consumed, {in_flight} in flight"
                     )
             cycle += 1
-        else:  # the horizon cut the last busy period
-            if not deflected:
-                log[start] = (horizon, records[first:], hops - hops0)
         return self._trace(records, horizon, hops, drops)
 
     def _trace(self, records: list[PacketRecord], horizon: int,
                flit_hops: int, drops: int) -> SimTrace:
         # Records were made in schedule order: by release, flow id and seq.
+        bounds = self.bounds
         max_latency: dict[int, int] = {}
         max_deflections: dict[int, int] = {}
-        violations = 0
-        for rec in records:
-            bound = self.bounds.get(rec.flow_id)
-            if rec.delivered:
-                max_latency[rec.flow_id] = max(
-                    max_latency.get(rec.flow_id, 0), rec.latency
-                )
-                max_deflections[rec.flow_id] = max(
-                    max_deflections.get(rec.flow_id, 0), rec.deflections
-                )
-                if bound is not None and rec.latency > bound:
-                    rec.violated = True
-                    violations += 1
-            elif bound is not None and rec.release + bound <= horizon:
-                rec.violated = True
-                violations += 1
+        violated: list[int] = []
+        tally: dict[int, list[int]] = {}  # packets, delivered, violations
+        for i, rec in enumerate(records):
+            fid, end = rec.flow_id, rec.eject_end
+            bound = bounds.get(fid)
+            row = tally.setdefault(fid, [0, 0, 0])
+            row[0] += 1
+            if end is None:
+                late = bound is not None and rec.release + bound <= horizon
+            else:
+                row[1] += 1
+                latency = end - rec.release + 1
+                if latency > max_latency.get(fid, 0):
+                    max_latency[fid] = latency
+                if rec.deflections > max_deflections.get(fid, -1):
+                    max_deflections[fid] = rec.deflections
+                late = bound is not None and latency > bound
+            if late:
+                row[2] += 1
+                violated.append(i)
         return SimTrace(
             horizon=horizon,
             records=tuple(records),
@@ -563,7 +585,9 @@ class _Simulator:
             max_deflections=max_deflections,
             flit_hops=flit_hops,
             retention_violations=drops,
-            bound_violations=violations,
+            bound_violations=len(violated),
+            violated=tuple(violated),
+            tally={fid: tuple(tally[fid]) for fid in sorted(tally)},
         )
 
 
@@ -580,8 +604,8 @@ def run(
 
     ``bounds`` maps flow ids to latency bounds; delivered packets above their
     bound and packets released at least one bound before the horizon yet not
-    delivered are flagged as violations.  ``protocol_check`` enables per-cycle
-    flit-conservation assertions.
+    delivered are violations, listed in ``SimTrace.violated``.
+    ``protocol_check`` enables per-cycle flit-conservation assertions.
     """
     if horizon is None:
         horizon = default_horizon(flowset)

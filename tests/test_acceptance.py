@@ -316,7 +316,7 @@ def _explicit(times):
 
 def _twin(fs: Flowset) -> Flowset:
     """A second flowset object with the same flows, so that a run on it
-    simulates every cycle instead of copying the first object's periods."""
+    replays no busy period that a run on the first object logged."""
     return Flowset(fs.topology, fs.flows)
 
 

@@ -21,7 +21,8 @@ from rlnoc.bench import (
     improvement_report,
     schedulability_sweep,
 )
-from rlnoc.model import Flow, ModelError, NetworkTopology, generate_rlrec
+from rlnoc.model import (Flow, ModelError, NetworkTopology, generate_rlrec,
+                         sampler)
 
 TINY = SweepConfig(
     grids=(4,),
@@ -111,8 +112,8 @@ def _randint_flowset(cfg, topology, n_flows, prange, rng):
 
 
 class TestSampler:
-    """``generate_flowset`` draws through one rejection sampler on
-    ``getrandbits``; it must take the bits ``randrange`` takes."""
+    """``generate_flowset`` draws through ``model.sampler``, a rejection
+    sampler on ``getrandbits``; it must take the bits ``randrange`` takes."""
 
     SHIPPED = SweepConfig()
     WIDTHS = sorted(
@@ -125,7 +126,7 @@ class TestSampler:
     @pytest.mark.parametrize("seed", ["0", "7", "sampler", 12345])
     def test_draws_and_state_match_randrange(self, seed):
         mine, ref = random.Random(seed), random.Random(seed)
-        below = rlnoc.bench._sampler(mine)
+        below = sampler(mine.getrandbits)
         for _ in range(5):
             for n in self.WIDTHS:
                 assert below(n) == ref.randrange(n), n
@@ -133,7 +134,7 @@ class TestSampler:
 
     def test_offset_draws_match_randint(self):
         mine, ref = random.Random("int"), random.Random("int")
-        below = rlnoc.bench._sampler(mine)
+        below = sampler(mine.getrandbits)
         for lo, hi in ((1, 100), (16, 48), (32, 96), (0, 0), (500, 50_000)):
             for _ in range(50):
                 assert lo + below(hi - lo + 1) == ref.randint(lo, hi)

@@ -64,8 +64,8 @@ def _latencies(trace):
 def _both(flowset, pattern, horizon, **kw):
     """Both modes, each simulated on its own flowset object.
 
-    A second run of one object copies the first's busy periods without a
-    deflection, so comparing the modes needs two simulations.
+    A second run of one object replays the first's busy periods without a
+    deflection, so comparing the modes needs two objects.
     """
     base = run(flowset, BASE, pattern=pattern, horizon=horizon,
                protocol_check=True, **kw)
@@ -330,6 +330,31 @@ class TestReInjectionBuffer:
         run(fs, PROP, pattern=synchronous, horizon=20_000)
 
 
+def _randint_periodic_with_jitter(flow, horizon, seed):
+    """The jitter pattern as drawn through ``randint``: the oracle."""
+    rng = random.Random(f"{seed}:PeriodicWithJitter:{flow.flow_id}")
+    out, n, last = [], 0, 0
+    while True:
+        t = n * flow.period + rng.randint(0, flow.jitter)
+        t = max(t, last)
+        if t >= horizon:
+            return out
+        out.append(t)
+        last = t
+        n += 1
+
+
+def _randint_sporadic(flow, horizon, seed):
+    """The sporadic pattern as drawn through ``randint``: the oracle."""
+    rng = random.Random(f"{seed}:Sporadic:{flow.flow_id}")
+    out = []
+    t = rng.randint(0, flow.period)
+    while t < horizon:
+        out.append(t)
+        t += flow.period + rng.randint(0, flow.period)
+    return out
+
+
 def _offsets(offsets: dict[int, int]):
     """Release 0 of flow i at ``offsets[i]``, release n at offset + nT - J."""
 
@@ -386,7 +411,7 @@ class TestBoundFlagging:
         late = run(fs, BASE, pattern=pattern, horizon=30, bounds={0: 11})
         assert ok.bound_violations == 0
         assert late.bound_violations == 1
-        assert late.records[0].violated
+        assert ok.violated == () and late.violated == (0,)
 
     def test_undelivered_within_measurable_window_flagged(self):
         fs = single_flow_ring8(length=8)
@@ -461,6 +486,41 @@ class TestReleasePatterns:
         assert times == sporadic(flow, 500, "seed-b")
         assert all(t2 - t1 >= 10 for t1, t2 in zip(times, times[1:]))
         assert 0 <= times[0] <= 10
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 10, 64, 100, 1000])
+    def test_draws_match_randint_oracle(self, period):
+        # 53 (flow, pattern) cases x 25 seeds: 1,325 draws, with J = 0,
+        # J >= T and T = 1 among them.
+        for jitter in sorted({0, 1, period - 1, period, period + 1,
+                              2 * period + 3}):
+            flow = make_flow(0, 1, 7, period=period, jitter=jitter)
+            for seed in range(25):
+                assert periodic_with_jitter(flow, 600, str(seed)) == \
+                    _randint_periodic_with_jitter(flow, 600, str(seed))
+        for seed in range(25):
+            flow = make_flow(3, 1, 7, period=period)
+            assert sporadic(flow, 600, f"s{seed}") == \
+                _randint_sporadic(flow, 600, f"s{seed}")
+
+    def test_two_runs_draw_the_schedule_once(self):
+        top = multi_ring_2x4()
+        fs = Flowset(top, [make_flow(0, 3, 6, length=2, period=20, jitter=9),
+                           make_flow(1, 2, 6, length=2, period=30, jitter=4)])
+        drawn = []
+
+        def pattern(flow, horizon, seed):
+            drawn.append(flow.flow_id)
+            return periodic_with_jitter(flow, horizon, seed)
+
+        first = run(fs, BASE, pattern=pattern, horizon=500, seed="s")
+        second = run(fs, PROP, pattern=pattern, horizon=500, seed="s")
+        assert sorted(drawn) == [0, 1]
+        assert [(r.flow_id, r.seq, r.release) for r in first.records] == \
+            [(r.flow_id, r.seq, r.release) for r in second.records]
+        # Another seed or horizon is another schedule.
+        run(fs, BASE, pattern=pattern, horizon=500, seed="t")
+        run(fs, BASE, pattern=pattern, horizon=400, seed="t")
+        assert sorted(drawn) == [0, 0, 0, 1, 1, 1]
 
     def test_default_horizon(self):
         top = perimeter_ring8()
@@ -573,11 +633,11 @@ def _replay_draw(seed: int):
     return generate_rlrec(grid, grid), flows
 
 
-def _run_or_error(fs, mode, pattern, check=True):
+def _run_or_error(fs, mode, pattern, horizon=400, check=True):
     """The trace of one run, or the message of its invariant error."""
     bounds = {f.flow_id: f.period // (2 if mode is PROP else 1) for f in fs}
     try:
-        return run(fs, mode, pattern=pattern, horizon=400, seed="r",
+        return run(fs, mode, pattern=pattern, horizon=horizon, seed="r",
                    bounds=bounds, protocol_check=check)
     except SimInvariantError as err:
         return str(err)
@@ -589,67 +649,141 @@ def _fields(out):
         return out
     return (
         [(r.flow_id, r.seq, r.release, r.inject_start, r.eject_end,
-          r.deflections, r.dropped, r.violated) for r in out.records],
+          r.deflections, r.dropped) for r in out.records],
         out.flit_hops, out.retention_violations, out.bound_violations,
-        dict(out.max_latency), dict(out.max_deflections),
+        out.violated, out.per_flow(), dict(out.max_latency),
+        dict(out.max_deflections),
     )
 
 
-def _replayed(before, after):
-    """Periods of ``after``'s log copied from ``before``'s, not simulated."""
-    return sum(entry is before.get(start) for start, entry in after.items())
+class _Forgetful(dict):
+    """A memo root that finds nothing, though periods are logged in it."""
+
+    def get(self, key, default=None):
+        return None
+
+
+class _NoMemo:
+    """Stands in for ``sim._PERIODS``: every run draws its schedule anew and
+    finds no logged period, so it simulates every busy period."""
+
+    def setdefault(self, flowset, default):
+        return [None, None, _Forgetful()]
+
+
+def _never_replayed(monkeypatch, fs, mode, pattern, horizon, check):
+    """``_run_or_error`` with no memo: every busy period is simulated."""
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_PERIODS", _NoMemo())
+        return _run_or_error(fs, mode, pattern, horizon, check)
+
+
+def _shared(a, b):
+    """Record objects that two traces hold both."""
+    return {id(r) for r in a.records} & {id(r) for r in b.records}
+
+
+class _Made:
+    """Notes each record the simulator makes at a release (not by replay),
+    with the number, mode and ``protocol_check`` of the run that made it."""
+
+    def __init__(self, monkeypatch):
+        self.kept = []  # every record noted, so that no id is reused
+        self.by_id = {}  # id(record) -> (run, mode, check)
+        self.now = (0, None, None)  # (run, mode, check) of the current run
+        made = self
+
+        class Packet(sim._Packet):
+            __slots__ = ()
+
+            def __init__(self, record, facts):
+                super().__init__(record, facts)
+                made.kept.append(record)
+                made.by_id[id(record)] = made.now
+
+        monkeypatch.setattr(sim, "_Packet", Packet)
 
 
 class TestBusyPeriodReplay:
-    """A later run of one flowset object copies the earlier run's busy
-    periods without a deflection; it must equal a fresh simulation."""
+    """Each busy period is simulated once per flowset object and replayed
+    where its relative releases recur; every run must equal a run that
+    never replays."""
 
     PATTERNS = (synchronous, periodic, periodic_with_jitter, sporadic)
+    HORIZONS = (250, 400)
 
-    def test_replayed_runs_match_fresh_runs(self):
-        seen = dict.fromkeys(
-            ("replayed", "cut", "deflected", "dropped", "overflow"), 0)
-        for seed in range(30):
+    def test_replayed_runs_match_fresh_runs(self, monkeypatch):
+        made = _Made(monkeypatch)
+        seen = dict.fromkeys(("cross-mode", "deflected", "shifted", "cut",
+                              "dropped", "overflow"), 0)
+        runs = 0
+        for seed in range(12):
             top, flows = _replay_draw(seed)
-            fresh = {}
-            for order in ((BASE, PROP), (PROP, BASE)):
-                # One object across all patterns: a changed schedule must
-                # not replay the previous pattern's periods.
-                shared = Flowset(top, flows)
-                for k, pattern in enumerate(self.PATTERNS):
-                    got, log = {}, {}
-                    for mode in order:
-                        got[mode] = _run_or_error(shared, mode, pattern)
-                        log, before = sim._PERIODS[shared][2], log
-                        seen["replayed"] += _replayed(before, log)
-                        seen["cut"] += any(e[0] == 400 for e in log.values())
-                    for mode, out in got.items():
-                        if (k, mode) not in fresh:
-                            fresh[k, mode] = _fields(_run_or_error(
-                                Flowset(top, flows), mode, pattern))
-                        assert _fields(out) == fresh[k, mode], (
-                            seed, order, pattern.__name__, mode)
-                        if isinstance(out, str):
-                            seen["overflow"] += out.startswith(
-                                "buffer overflow")
-                            continue
-                        seen["deflected"] += any(
-                            r.deflections for r in out.records)
-                        seen["dropped"] += out.retention_violations > 0
+            rng = random.Random(f"{seed}:shift")
+            jitter = {f.flow_id: periodic_with_jitter(f, 400, "r")
+                      for f in flows}
+            shifted = []
+            for _ in range(2):
+                s = rng.randint(1, 500)
+                shifted.append(_explicit(
+                    {fid: [t + s for t in ts] for fid, ts in jitter.items()}))
+            # One object across every pattern, horizon, check and order:
+            # a period is replayed wherever its relative releases recur.
+            shared = Flowset(top, flows)
+            for pattern in self.PATTERNS + tuple(shifted):
+                for horizon in self.HORIZONS:
+                    made.now = 0, None, None
+                    fresh = {(mode, check): _fields(_never_replayed(
+                        monkeypatch, shared, mode, pattern, horizon, check))
+                        for check in (False, True) for mode in (BASE, PROP)}
+                    for check in (False, True):
+                        for order in ((BASE, PROP), (PROP, BASE)):
+                            for mode in order:
+                                runs += 1
+                                made.now = runs, mode, check
+                                out = _run_or_error(shared, mode, pattern,
+                                                    horizon, check)
+                                assert _fields(out) == fresh[mode, check], (
+                                    seed, pattern, horizon, check, mode)
+                                self._tally(seen, made, out, runs, mode,
+                                            check)
         assert all(seen.values()), seen
 
-    def test_checked_run_replays_no_unchecked_period(self):
+    def test_checked_run_replays_no_unchecked_period(self, monkeypatch):
         top, flows = _replay_draw(0)
         fs = Flowset(top, flows)
         pattern = periodic_with_jitter
-        _run_or_error(fs, BASE, pattern, check=False)
-        unchecked = sim._PERIODS[fs][2]
-        assert unchecked
+        unchecked = _run_or_error(fs, BASE, pattern, check=False)
         checked = _run_or_error(fs, PROP, pattern)
-        log = sim._PERIODS[fs][2]
-        assert _replayed(unchecked, log) == 0
-        assert _fields(checked) == _fields(
-            _run_or_error(Flowset(top, flows), PROP, pattern))
-        # An unchecked run may copy what a checked run simulated.
-        _run_or_error(fs, BASE, pattern, check=False)
-        assert _replayed(log, sim._PERIODS[fs][2]) > 0
+        assert not _shared(unchecked, checked)
+        assert _fields(checked) == _fields(_never_replayed(
+            monkeypatch, fs, PROP, pattern, 400, True))
+        # An unchecked run may take what a checked run simulated.
+        again = _run_or_error(fs, BASE, pattern, check=False)
+        assert _shared(checked, again)
+        assert _fields(again) == _fields(unchecked)
+
+    @staticmethod
+    def _tally(seen, made, out, run_no, mode, check):
+        """Count what the run reached; check the rules that its shared
+        record objects show."""
+        if isinstance(out, str):
+            seen["overflow"] += out.startswith("buffer overflow")
+            return
+        seen["dropped"] += out.retention_violations > 0
+        seen["cut"] += any(r.eject_end is None and not r.dropped
+                           for r in out.records)
+        for rec in out.records:
+            by_run, by, checked = made.by_id.get(id(rec), (0, None, None))
+            if by_run == run_no:
+                continue  # simulated by this run
+            seen["deflected"] += rec.deflections > 0
+            if by is None:  # a shifted copy of a logged period
+                seen["shifted"] += 1
+                continue
+            # The record object itself: the same schedule at the same start.
+            assert checked or not check, (
+                "a checked run replayed an unchecked period")
+            assert by == mode or not rec.deflections, (
+                "a deflected period crossed modes")
+            seen["cross-mode"] += by != mode
